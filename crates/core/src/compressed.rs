@@ -18,7 +18,7 @@
 
 use cod_graph::{Csr, FxHashMap, NodeId};
 use cod_influence::{
-    par_ranges, CancelToken, Model, Parallelism, RrGraph, RrSampler, SeedPolicy, SeedSequence,
+    par_ranges, CancelToken, Model, Parallelism, RrRef, RrSampler, SeedPolicy, SeedSequence,
 };
 use rand::prelude::*;
 
@@ -26,7 +26,7 @@ use crate::chain::Chain;
 use crate::error::{CodError, CodResult};
 use crate::failpoint;
 use crate::pool::{PoolView, RrPoolEntry};
-use crate::scratch::{HfsScratch, QueryScratch, TopKScratch};
+use crate::scratch::{HfsScratch, LevelTable, QueryScratch, TopKScratch};
 use crate::telemetry::{Counter, Phase, TraceSink};
 use std::time::Instant;
 
@@ -204,7 +204,7 @@ pub fn compressed_cod_governed<R: Rng>(
 
     let mut own = QueryScratch::new();
     let ws = scratch.unwrap_or(&mut own);
-    ws.prepare_buckets(m);
+    ws.prepare(chain, &universe);
 
     // --- Stage 1: shared sample generation + HFS ------------------------
     // Phase timers are read outside the per-sample loop, and counters are
@@ -225,7 +225,7 @@ pub fn compressed_cod_governed<R: Rng>(
                         let now = sampler.stats();
                         tok.charge_rr_edges(now.delta_since(charged).edges);
                         charged = now;
-                        tok.charge_memory(stage1_memory_estimate(&ws.buckets, &ws.hfs));
+                        tok.charge_memory(stage1_memory_estimate(&ws.levels, &ws.hfs));
                         if tok.should_stop() {
                             break;
                         }
@@ -233,13 +233,11 @@ pub fn compressed_cod_governed<R: Rng>(
                 }
                 draw_and_record(
                     &mut sampler,
-                    chain,
                     &universe,
                     restricted,
-                    m,
+                    &ws.levels,
                     rng,
                     &mut ws.hfs,
-                    &mut ws.buckets,
                     &mut ws.sink,
                     cancel,
                 );
@@ -261,7 +259,7 @@ pub fn compressed_cod_governed<R: Rng>(
                         let now = sampler.stats();
                         tok.charge_rr_edges(now.delta_since(charged).edges);
                         charged = now;
-                        tok.charge_memory(stage1_memory_estimate(&ws.buckets, &ws.hfs));
+                        tok.charge_memory(stage1_memory_estimate(&ws.levels, &ws.hfs));
                         if tok.should_stop() {
                             break;
                         }
@@ -270,13 +268,11 @@ pub fn compressed_cod_governed<R: Rng>(
                 let mut rng = seeds.rng_for(i as u64);
                 draw_and_record(
                     &mut sampler,
-                    chain,
                     &universe,
                     restricted,
-                    m,
+                    &ws.levels,
                     &mut rng,
                     &mut ws.hfs,
-                    &mut ws.buckets,
                     &mut ws.sink,
                     cancel,
                 );
@@ -289,18 +285,19 @@ pub fn compressed_cod_governed<R: Rng>(
         }
         SeedPolicy::PerIndex { seeds, par } => {
             // Each worker samples a contiguous index range into its own
-            // bucket shard. Which range a sample lands in only decides
+            // counter table. Which range a sample lands in only decides
             // *where* its counts accumulate; count addition commutes, so
-            // the merged buckets are independent of the chunking. Each
+            // the merged table is independent of the chunking. Each
             // shard also carries its own counter sink, merged the same way.
             // Workers poll the shared token at the same batch cadence; a
             // fired token stops every shard at its next boundary, and the
             // per-shard completion counts sum to the draws actually made.
+            let levels = &ws.levels;
             let shards = par_ranges(theta, par.thread_count(), |range| {
                 let mut sampler = RrSampler::new(g, model);
-                let mut hfs = HfsScratch::new(m);
+                let mut hfs = HfsScratch::default();
+                hfs.prepare(m, levels.cells());
                 let mut sink = TraceSink::new(false);
-                let mut buckets: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); m];
                 let mut charged = sampler.stats();
                 let mut done = 0usize;
                 for (off, i) in range.enumerate() {
@@ -310,7 +307,7 @@ pub fn compressed_cod_governed<R: Rng>(
                             let now = sampler.stats();
                             tok.charge_rr_edges(now.delta_since(charged).edges);
                             charged = now;
-                            tok.charge_memory(stage1_memory_estimate(&buckets, &hfs));
+                            tok.charge_memory(stage1_memory_estimate(levels, &hfs));
                             if tok.should_stop() {
                                 break;
                             }
@@ -319,13 +316,11 @@ pub fn compressed_cod_governed<R: Rng>(
                     let mut rng = seeds.rng_for(i as u64);
                     draw_and_record(
                         &mut sampler,
-                        chain,
                         &universe,
                         restricted,
-                        m,
+                        levels,
                         &mut rng,
                         &mut hfs,
-                        &mut buckets,
                         &mut sink,
                         cancel,
                     );
@@ -334,19 +329,18 @@ pub fn compressed_cod_governed<R: Rng>(
                 let drawn = sampler.stats();
                 sink.add(Counter::RrGraphsSampled, drawn.graphs);
                 sink.add(Counter::RrEdgesTraversed, drawn.edges);
-                (buckets, sink, done)
+                (hfs.counts, sink, done)
             });
-            for (shard, sink, done) in shards {
-                for (h, bucket) in shard.into_iter().enumerate() {
-                    for (v, c) in bucket {
-                        *ws.buckets[h].entry(v).or_insert(0) += c;
-                    }
+            for (counts, sink, done) in shards {
+                for (total, c) in ws.hfs.counts.iter_mut().zip(counts) {
+                    *total += c;
                 }
                 ws.sink.merge(&sink);
                 completed += done;
             }
         }
     }
+    ws.levels.drain_into(&ws.hfs.counts, &mut ws.buckets);
     if let Some(t0) = t_sample {
         ws.sink
             .add_nanos(Phase::Sample, t0.elapsed().as_nanos() as u64);
@@ -382,52 +376,47 @@ pub fn compressed_cod_governed<R: Rng>(
 }
 
 /// Approximate live bytes of stage-1 state for [`CancelToken`] memory
-/// accounting: bucket entries (the part that grows with samples) plus the
-/// HFS scratch capacities. Map overhead is folded into a flat per-entry
-/// constant — the cap is a guard rail, not an allocator audit.
-fn stage1_memory_estimate(buckets: &[FxHashMap<NodeId, u32>], hfs: &HfsScratch) -> usize {
+/// accounting: the dense level and counter tables, the HFS scratch
+/// capacities, and the bucket entries the fold will materialize for
+/// stage 2 — one per distinct counter touched so far, the part that grows
+/// with samples. Map overhead is folded into a flat per-entry constant —
+/// the cap is a guard rail, not an allocator audit.
+fn stage1_memory_estimate(levels: &LevelTable, hfs: &HfsScratch) -> usize {
     const BUCKET_ENTRY_BYTES: usize =
         2 * std::mem::size_of::<NodeId>() + std::mem::size_of::<u32>(); // key + count + control byte slack
-    let entries: usize = buckets.iter().map(FxHashMap::len).sum();
-    let hfs_bytes = hfs.queues.iter().map(Vec::capacity).sum::<usize>()
-        * std::mem::size_of::<u32>()
-        + hfs.explored.capacity()
-        + hfs.level_cache.capacity() * std::mem::size_of::<usize>()
-        + hfs.levels.capacity() * std::mem::size_of::<u32>();
-    entries * BUCKET_ENTRY_BYTES + hfs_bytes
+    hfs.touched * BUCKET_ENTRY_BYTES + hfs.memory_bytes() + levels.memory_bytes()
 }
 
 /// The shared per-sample body of stage 1: draw a source, generate its RR
-/// graph (restricted to the universe when the chain doesn't span the
-/// graph), and fold it into the buckets via HFS. The seed policy only
-/// decides which `rng` arrives here.
+/// graph into the sampler's scratch arena (restricted to the universe
+/// when the chain doesn't span the graph), and fold it into the counter
+/// table via HFS. The seed policy only decides which `rng` arrives here.
 #[inline]
 #[allow(clippy::too_many_arguments)] // private loop body shared by three skeletons
 fn draw_and_record<R: Rng>(
     sampler: &mut RrSampler<'_>,
-    chain: &impl Chain,
     universe: &[NodeId],
     restricted: bool,
-    m: usize,
+    levels: &LevelTable,
     rng: &mut R,
     hfs: &mut HfsScratch,
-    buckets: &mut [FxHashMap<NodeId, u32>],
     sink: &mut TraceSink,
     cancel: Option<&CancelToken>,
 ) {
     let s = universe[rng.random_range(0..universe.len())];
-    let Some(ls) = chain.level_of(s) else {
+    let ls = levels.level_of(s);
+    if ls >= levels.depth() {
         // Source outside every chain community: its induced RR graphs
         // are all empty (Example 3) — nothing to record.
         sink.incr(Counter::HfsNodesPruned);
         return;
-    };
+    }
     let rr = if restricted {
-        sampler.sample_restricted(s, rng, |v| universe.binary_search(&v).is_ok())
+        sampler.sample_view(s, rng, |v| universe.binary_search(&v).is_ok())
     } else {
-        sampler.sample_from(s, rng)
+        sampler.sample_view(s, rng, |_| true)
     };
-    hfs_record(chain, &rr, ls, m, hfs, buckets, sink, cancel);
+    hfs_record(rr, ls, levels, hfs, sink, cancel);
 }
 
 /// [`compressed_cod`] with per-index seed derivation and parallel sample
@@ -549,128 +538,99 @@ fn resolve_theta(
 }
 
 /// Hierarchical-first search over one RR graph (stage 1 inner loop of
-/// Algorithm 1): every RR node is recorded in the bucket of the deepest
-/// chain community within which it is reachable from the source. `ls` is
-/// the source's chain level. Leaves `scratch.queues` drained for reuse —
-/// including on the cancellation early-exit, which abandons the remaining
-/// levels of this one RR graph (the caller flags the outcome best-effort).
-#[allow(clippy::too_many_arguments)]
+/// Algorithm 1): every RR node is counted in the row of the deepest chain
+/// community within which it is reachable from the source. `ls` is the
+/// source's chain level; node levels come from the per-query dense
+/// `levels` table, so HFS issues no `Chain::level_of` query.
+///
+/// Every RR node is reachable from the source (the sampler only adds
+/// nodes it reached), so when all of them lie inside `C_ls` each one is
+/// recorded at level `ls` and the traversal is skipped. A cancelled token
+/// abandons the graph, or the remaining levels of its traversal (the
+/// caller flags the outcome best-effort).
 fn hfs_record(
-    chain: &impl Chain,
-    rr: &RrGraph,
+    rr: RrRef<'_>,
     ls: usize,
-    m: usize,
-    scratch: &mut HfsScratch,
-    buckets: &mut [FxHashMap<NodeId, u32>],
+    levels: &LevelTable,
+    hfs: &mut HfsScratch,
     sink: &mut TraceSink,
     cancel: Option<&CancelToken>,
 ) {
-    let n = rr.len();
-    let mut visited = 0u64;
-    scratch.explored.clear();
-    scratch.explored.resize(n, false);
-    scratch.level_cache.clear();
-    scratch.level_cache.resize(n, usize::MAX);
-    scratch.level_cache[0] = ls;
-    scratch.queues[ls].push(0);
-    #[allow(clippy::needless_range_loop)] // h indexes both queues and buckets
-    for h in ls..m {
+    let visited = if rr.nodes()[1..].iter().all(|&v| levels.level_of(v) <= ls) {
         failpoint::hit(failpoint::Site::HfsLevel, cancel);
         if cancel.is_some_and(CancelToken::is_cancelled) {
-            for queue in &mut scratch.queues[h..m] {
-                queue.clear();
+            0
+        } else {
+            let row = levels.row(ls);
+            for &v in rr.nodes() {
+                hfs.bump(row + levels.column(v));
             }
-            break;
+            rr.len() as u64
         }
-        while let Some(v) = scratch.queues[h].pop() {
-            if scratch.explored[v as usize] {
-                continue;
-            }
-            scratch.explored[v as usize] = true;
-            visited += 1;
-            *buckets[h].entry(rr.node(v)).or_insert(0) += 1;
-            for &u in rr.out_neighbors(v) {
-                if scratch.explored[u as usize] {
-                    continue;
-                }
-                let lu = if scratch.level_cache[u as usize] != usize::MAX {
-                    scratch.level_cache[u as usize]
-                } else {
-                    // `m` marks nodes inside the universe but outside
-                    // every chain community (possible when the chain
-                    // excludes its sampling universe's root): no
-                    // within-chain path can pass through them.
-                    let l = chain.level_of(rr.node(u)).unwrap_or(m);
-                    scratch.level_cache[u as usize] = l;
-                    l
-                };
-                if lu >= m {
-                    continue;
-                }
-                scratch.queues[lu.max(h)].push(u);
-            }
-        }
-    }
+    } else {
+        hfs_traverse(rr, ls, levels, hfs, cancel)
+    };
     sink.add(Counter::HfsNodesVisited, visited);
-    sink.add(Counter::HfsNodesPruned, n as u64 - visited);
+    sink.add(Counter::HfsNodesPruned, rr.len() as u64 - visited);
 }
 
-/// [`hfs_record`] against the dense `node → level` table in
-/// `scratch.levels` instead of live `Chain::level_of` queries. The pooled
-/// fold touches every RR graph of a prebuilt pool back to back, so it
-/// amortizes one `level_of` sweep over the universe (building the table)
-/// across all `Θ` folds — the LCA lookups that dominate a warm fold
-/// collapse to array reads. Bucket updates and traversal order are
-/// identical to [`hfs_record`], so the outcome is bit-identical; only the
-/// lookup path differs.
-fn hfs_record_dense(
-    rr: &RrGraph,
+/// The level-by-level traversal behind [`hfs_record`]: per-level stacks
+/// give O(1) insertion, every RR node is explored once (Lemma 2), and the
+/// level loop ends once no stack holds work. Returns the nodes recorded.
+/// Leaves `hfs.queues` drained for reuse, also on cancellation.
+fn hfs_traverse(
+    rr: RrRef<'_>,
     ls: usize,
-    m: usize,
-    scratch: &mut HfsScratch,
-    buckets: &mut [FxHashMap<NodeId, u32>],
-    sink: &mut TraceSink,
+    levels: &LevelTable,
+    hfs: &mut HfsScratch,
     cancel: Option<&CancelToken>,
-) {
-    let n = rr.len();
+) -> u64 {
+    let m = levels.depth();
     let mut visited = 0u64;
-    scratch.explored.clear();
-    scratch.explored.resize(n, false);
-    scratch.queues[ls].push(0);
-    #[allow(clippy::needless_range_loop)] // h indexes both queues and buckets
+    let mut pending = 1usize;
+    hfs.explored.clear();
+    hfs.explored.resize(rr.len(), false);
+    hfs.queues[ls].push(0);
     for h in ls..m {
+        if pending == 0 {
+            break;
+        }
+        if hfs.queues[h].is_empty() {
+            continue;
+        }
         failpoint::hit(failpoint::Site::HfsLevel, cancel);
         if cancel.is_some_and(CancelToken::is_cancelled) {
-            for queue in &mut scratch.queues[h..m] {
+            for queue in &mut hfs.queues[h..m] {
                 queue.clear();
             }
             break;
         }
-        while let Some(v) = scratch.queues[h].pop() {
-            if scratch.explored[v as usize] {
+        let row = levels.row(h);
+        while let Some(v) = hfs.queues[h].pop() {
+            pending -= 1;
+            if hfs.explored[v as usize] {
                 continue;
             }
-            scratch.explored[v as usize] = true;
+            hfs.explored[v as usize] = true;
             visited += 1;
-            *buckets[h].entry(rr.node(v)).or_insert(0) += 1;
+            hfs.bump(row + levels.column(rr.node(v)));
             for &u in rr.out_neighbors(v) {
-                if u == 0 || scratch.explored[u as usize] {
+                if hfs.explored[u as usize] {
                     continue;
                 }
-                let lu = scratch
-                    .levels
-                    .get(rr.node(u) as usize)
-                    .copied()
-                    .unwrap_or(u32::MAX) as usize;
+                // `lu >= m` marks nodes outside every chain community
+                // (possible when the chain excludes its sampling
+                // universe's root): no within-chain path passes them.
+                let lu = levels.level_of(rr.node(u));
                 if lu >= m {
                     continue;
                 }
-                scratch.queues[lu.max(h)].push(u);
+                hfs.queues[lu.max(h)].push(u);
+                pending += 1;
             }
         }
     }
-    sink.add(Counter::HfsNodesVisited, visited);
-    sink.add(Counter::HfsNodesPruned, n as u64 - visited);
+    visited
 }
 
 /// Stage 2 of Algorithm 1, exposed for direct use and testing: scans
@@ -921,18 +881,7 @@ fn pooled_fold(
 ) -> CodResult<CodOutcome> {
     let m = chain.len();
     let universe_len = universe.len();
-    ws.prepare_buckets(m);
-    // One `level_of` sweep over the universe builds the dense table every
-    // fold reads; pool samples never leave the universe, so `u32::MAX`
-    // padding only marks genuinely prunable nodes.
-    let bound = universe.last().map_or(0, |&v| v as usize + 1);
-    ws.hfs.levels.clear();
-    ws.hfs.levels.resize(bound, u32::MAX);
-    for &v in universe {
-        if let Some(l) = chain.level_of(v) {
-            ws.hfs.levels[v as usize] = l as u32;
-        }
-    }
+    ws.prepare(chain, universe);
     let t_sample = ws.sink.timing().then(Instant::now);
     let take = theta.min(view.len());
     let mut completed = 0usize;
@@ -940,36 +889,24 @@ fn pooled_fold(
         if i % CHECK_EVERY == 0 {
             failpoint::hit(failpoint::Site::PoolFold, cancel);
             if let Some(tok) = cancel {
-                tok.charge_memory(stage1_memory_estimate(&ws.buckets, &ws.hfs));
+                tok.charge_memory(stage1_memory_estimate(&ws.levels, &ws.hfs));
                 if tok.should_stop() {
                     break;
                 }
             }
         }
-        let ls = ws
-            .hfs
-            .levels
-            .get(rr.source() as usize)
-            .copied()
-            .unwrap_or(u32::MAX) as usize;
+        let ls = ws.levels.level_of(rr.source());
         if ls >= m {
             // Source outside every chain community: the induced RR graph
             // is empty (Example 3) — nothing to record, but the sample
             // still counts toward Θ, exactly like the sampling path.
             ws.sink.incr(Counter::HfsNodesPruned);
         } else {
-            hfs_record_dense(
-                rr,
-                ls,
-                m,
-                &mut ws.hfs,
-                &mut ws.buckets,
-                &mut ws.sink,
-                cancel,
-            );
+            hfs_record(rr, ls, &ws.levels, &mut ws.hfs, &mut ws.sink, cancel);
         }
         completed += 1;
     }
+    ws.levels.drain_into(&ws.hfs.counts, &mut ws.buckets);
     if let Some(t0) = t_sample {
         ws.sink
             .add_nanos(Phase::Sample, t0.elapsed().as_nanos() as u64);

@@ -39,13 +39,22 @@
 //! * **Eviction**: pools are evicted least-recently-used once their
 //!   total resident bytes exceed the cache's byte budget; the pool a
 //!   query is actively using is never evicted under it.
+//!
+//! # Storage and accounting
+//!
+//! Each growth shard samples straight into its own [`RrArena`] (four
+//! flat streams, no per-sample allocation), which is shrunk to fit and
+//! kept as an immutable chunk without a copy. A pool's byte count is the
+//! capacity of those streams, so the byte budget bounds the heap the
+//! pools really hold, up to a few hundred bytes of headers per chunk.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use cod_graph::{AttrId, Csr, NodeId};
 use cod_influence::{
-    par_ranges, splitmix64, CancelToken, Model, Parallelism, RrGraph, RrSampler, SeedSequence,
+    par_ranges, splitmix64, CancelToken, Model, Parallelism, RrArena, RrRef, RrSampler,
+    SeedSequence,
 };
 
 use crate::failpoint::{self, Site};
@@ -57,13 +66,17 @@ pub const CHECK_EVERY: usize = 64;
 /// Default byte budget of an engine's pool cache (LRU eviction threshold).
 pub const DEFAULT_POOL_BUDGET_BYTES: usize = 256 * 1024 * 1024;
 
+/// The samples one growth appended: one sealed arena per growth shard,
+/// in index order.
+type Chunk = Arc<[RrArena]>;
+
 /// An immutable snapshot of a pool's sample prefix: the chunks resident
 /// when the view was taken. Iterating yields samples in global index
 /// order; chunk boundaries are a storage artifact and never observable in
 /// the sample stream.
 #[derive(Clone)]
 pub struct PoolView {
-    chunks: Vec<Arc<Vec<RrGraph>>>,
+    chunks: Vec<Chunk>,
     len: usize,
 }
 
@@ -79,8 +92,24 @@ impl PoolView {
     }
 
     /// The pooled RR graphs in sample-index order.
-    pub fn iter(&self) -> impl Iterator<Item = &RrGraph> {
+    pub fn iter(&self) -> impl Iterator<Item = RrRef<'_>> {
+        self.arenas().flat_map(RrArena::iter)
+    }
+
+    /// The sealed arenas backing the view, in sample-index order.
+    pub fn arenas(&self) -> impl Iterator<Item = &RrArena> {
         self.chunks.iter().flat_map(|c| c.iter())
+    }
+
+    /// The view's samples concatenated into one arena — the pool's flat
+    /// streams with its chunking erased, which is what two pools are
+    /// compared by.
+    pub fn to_arena(&self) -> RrArena {
+        let mut out = RrArena::new();
+        for arena in self.arenas() {
+            out.extend_from(arena);
+        }
+        out
     }
 }
 
@@ -91,7 +120,8 @@ pub struct GrowthStats {
     pub graphs: u64,
     /// Activated edges recorded while generating those graphs.
     pub edges: u64,
-    /// Heap bytes the added graphs occupy.
+    /// Heap bytes the added graphs occupy (capacity of the sealed arena
+    /// streams).
     pub bytes: u64,
     /// Whether this call grew a non-empty pool (a top-up, as opposed to
     /// the initial fill or a pure read).
@@ -108,7 +138,7 @@ pub struct RrPoolEntry {
     /// Serializes growth so concurrent queries never sample overlapping
     /// index ranges; reads proceed under `chunks` alone.
     grow: Mutex<()>,
-    chunks: RwLock<Vec<Arc<Vec<RrGraph>>>>,
+    chunks: RwLock<Vec<Chunk>>,
     samples: AtomicUsize,
     bytes: AtomicUsize,
 }
@@ -158,17 +188,20 @@ impl RrPoolEntry {
         self.len() == 0
     }
 
-    /// Heap bytes the resident samples occupy.
+    /// Heap bytes the resident samples occupy: the capacity of every
+    /// sealed arena's streams.
     pub fn memory_bytes(&self) -> usize {
         self.bytes.load(Ordering::Acquire)
     }
 
-    /// Chunk sizes in append order — exposed so tests can assert that
-    /// top-ups tile the index space contiguously (injective, gap-free).
+    /// Samples appended by each growth, in append order — exposed so tests
+    /// can assert that top-ups tile the index space contiguously
+    /// (injective, gap-free) whatever their thread counts.
     pub fn chunk_lens(&self) -> Vec<usize> {
+        let len = |chunk: &Chunk| chunk.iter().map(RrArena::len).sum();
         match self.chunks.read() {
-            Ok(c) => c.iter().map(|chunk| chunk.len()).collect(),
-            Err(p) => p.into_inner().iter().map(|chunk| chunk.len()).collect(),
+            Ok(c) => c.iter().map(len).collect(),
+            Err(p) => p.into_inner().iter().map(len).collect(),
         }
     }
 
@@ -201,12 +234,13 @@ impl RrPoolEntry {
             Ok(c) => c.clone(),
             Err(p) => p.into_inner().clone(),
         };
-        let len = chunks.iter().map(|c| c.len()).sum();
+        let len = chunks.iter().flat_map(|c| c.iter()).map(RrArena::len).sum();
         (PoolView { chunks, len }, grown)
     }
 
     /// Samples indices `have..theta` and appends the contiguous completed
-    /// prefix as one immutable chunk. Caller holds the growth lock.
+    /// prefix as one immutable chunk of per-shard arenas. Caller holds the
+    /// growth lock.
     fn grow_locked(
         &self,
         g: &Csr,
@@ -219,8 +253,7 @@ impl RrPoolEntry {
         let n = theta - have;
         let shards = par_ranges(n, par.thread_count(), |range| {
             let mut sampler = RrSampler::new(g, model);
-            let mut out = Vec::with_capacity(range.len());
-            let mut edges = 0u64;
+            let mut out = RrArena::new();
             let mut pending_edges = 0u64;
             let mut complete = true;
             for (j, i) in range.enumerate() {
@@ -237,30 +270,31 @@ impl RrPoolEntry {
                 }
                 let mut rng = self.seeds.rng_for((have + i) as u64);
                 let s = self.universe[rand::Rng::random_range(&mut rng, 0..self.universe.len())];
-                let rr = if self.restricted {
-                    sampler
-                        .sample_restricted(s, &mut rng, |v| self.universe.binary_search(&v).is_ok())
+                let edges_before = out.num_edges();
+                if self.restricted {
+                    sampler.sample_into(&mut out, s, &mut rng, |v| {
+                        self.universe.binary_search(&v).is_ok()
+                    });
                 } else {
-                    sampler.sample_from(s, &mut rng)
-                };
-                edges += rr.num_edges() as u64;
-                pending_edges += rr.num_edges() as u64;
-                out.push(rr);
+                    sampler.sample_into(&mut out, s, &mut rng, |_| true);
+                }
+                pending_edges += (out.num_edges() - edges_before) as u64;
             }
             if let Some(c) = cancel {
                 c.charge_rr_edges(pending_edges);
             }
-            (out, edges, complete)
+            out.shrink_to_fit();
+            (out, complete)
         });
 
         // Keep only the contiguous prefix of completed samples: once a
         // shard stopped early, everything after it would leave a gap in
         // the index space, so it is dropped and re-derived later.
-        let mut fresh: Vec<RrGraph> = Vec::new();
-        let mut edges = 0u64;
-        for (shard, shard_edges, complete) in shards {
-            edges += shard_edges;
-            fresh.extend(shard);
+        let mut fresh: Vec<RrArena> = Vec::new();
+        for (arena, complete) in shards {
+            if !arena.is_empty() {
+                fresh.push(arena);
+            }
             if !complete {
                 break;
             }
@@ -268,18 +302,18 @@ impl RrPoolEntry {
         if fresh.is_empty() {
             return GrowthStats::default();
         }
-        let bytes: usize = fresh.iter().map(RrGraph::memory_bytes).sum();
+        let added: usize = fresh.iter().map(RrArena::len).sum();
+        let bytes: usize = fresh.iter().map(RrArena::memory_bytes).sum();
         let stats = GrowthStats {
-            graphs: fresh.len() as u64,
-            edges,
+            graphs: added as u64,
+            edges: fresh.iter().map(|a| a.num_edges() as u64).sum(),
             bytes: bytes as u64,
             topped_up: have > 0,
         };
         if let Some(c) = cancel {
             c.charge_memory(self.bytes.load(Ordering::Acquire) + bytes);
         }
-        let chunk = Arc::new(fresh);
-        let added = chunk.len();
+        let chunk: Chunk = fresh.into();
         let mut w = match self.chunks.write() {
             Ok(w) => w,
             Err(p) => p.into_inner(),
@@ -522,24 +556,7 @@ mod tests {
     fn grown_pool_is_bit_identical_to_fresh_pool() {
         let g = ring(24);
         let u = universe(24);
-        let grown = RrPoolEntry::new(None, u.clone(), false);
-        let (_, s1) = grown.ensure(
-            &g,
-            Model::WeightedCascade,
-            50,
-            Parallelism::Threads(1),
-            None,
-        );
-        assert!(!s1.topped_up);
-        let (gv, s2) = grown.ensure(
-            &g,
-            Model::WeightedCascade,
-            130,
-            Parallelism::Threads(2),
-            None,
-        );
-        assert!(s2.topped_up && s2.graphs == 80);
-        let fresh = RrPoolEntry::new(None, u, false);
+        let fresh = RrPoolEntry::new(None, u.clone(), false);
         let (fv, _) = fresh.ensure(
             &g,
             Model::WeightedCascade,
@@ -547,10 +564,69 @@ mod tests {
             Parallelism::Threads(1),
             None,
         );
-        assert_eq!(gv.len(), 130);
         assert_eq!(fv.len(), 130);
-        assert!(gv.iter().eq(fv.iter()), "top-up diverged from fresh pool");
-        assert_eq!(grown.chunk_lens(), vec![50, 80]);
+        let want = fv.to_arena();
+        for t in [1, 2, 8] {
+            let grown = RrPoolEntry::new(None, u.clone(), false);
+            let (_, s1) = grown.ensure(
+                &g,
+                Model::WeightedCascade,
+                50,
+                Parallelism::Threads(t),
+                None,
+            );
+            assert!(!s1.topped_up);
+            let (gv, s2) = grown.ensure(
+                &g,
+                Model::WeightedCascade,
+                130,
+                Parallelism::Threads(t),
+                None,
+            );
+            assert!(s2.topped_up && s2.graphs == 80);
+            assert_eq!(gv.len(), 130);
+            // The flat streams — starts, nodes, offsets, targets — match
+            // however the growth shards cut the index space.
+            assert_eq!(gv.to_arena(), want, "threads {t}: top-up diverged");
+            assert!(gv.iter().eq(fv.iter()));
+            assert_eq!(grown.chunk_lens(), vec![50, 80]);
+        }
+    }
+
+    #[test]
+    fn pool_bytes_are_the_sealed_arena_stream_capacities() {
+        let g = ring(30);
+        for t in [1, 2, 8] {
+            let entry = RrPoolEntry::new(None, universe(30), false);
+            let (_, s1) = entry.ensure(
+                &g,
+                Model::WeightedCascade,
+                70,
+                Parallelism::Threads(t),
+                None,
+            );
+            let (view, s2) = entry.ensure(
+                &g,
+                Model::WeightedCascade,
+                190,
+                Parallelism::Threads(t),
+                None,
+            );
+            let arenas: Vec<&RrArena> = view.arenas().collect();
+            let capacity: usize = arenas.iter().map(|a| a.memory_bytes()).sum();
+            assert_eq!(entry.memory_bytes(), capacity, "threads {t}");
+            assert_eq!((s1.bytes + s2.bytes) as usize, capacity, "threads {t}");
+            // Sealed streams carry no spare capacity: the bytes are the
+            // payload, 4 per start, node, offset and target.
+            let payload: usize = arenas
+                .iter()
+                .map(|a| {
+                    let nodes: usize = a.iter().map(|rr| rr.len()).sum();
+                    4 * ((a.len() + 1) + 2 * nodes + 1 + a.num_edges())
+                })
+                .sum();
+            assert_eq!(capacity, payload, "threads {t}");
+        }
     }
 
     #[test]
@@ -609,7 +685,7 @@ mod tests {
             Parallelism::Threads(1),
             None,
         );
-        assert!(v2.iter().eq(fv.iter()));
+        assert_eq!(v2.to_arena(), fv.to_arena());
     }
 
     #[test]

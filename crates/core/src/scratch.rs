@@ -8,47 +8,171 @@
 //! with its stamp arrays, generalized to the whole pipeline.
 //!
 //! **Determinism invariant:** scratch reuse must never change an answer.
-//! Every structure here is either fully reset per query (queues, candidate
-//! vectors, count maps via `clear()`) or epoch-stamped
+//! Every structure here is either fully reset per query (queues, level and
+//! counter tables, candidate vectors, count maps via `clear()`) or
+//! epoch-stamped
 //! ([`cod_influence::SamplerScratch`]). Hash-map *iteration order* can
 //! differ between a recycled map and a fresh one (retained capacity), so
 //! the evaluation stages only ever fold map contents through commutative
 //! addition or sort materialized keys — both order-independent. The
 //! seed-replay suite asserts the resulting bit-identity.
 
+use std::mem::size_of;
+
 use cod_graph::{FxHashMap, NodeId};
 use cod_influence::SamplerScratch;
 
+use crate::chain::Chain;
 use crate::telemetry::{QueryTrace, TraceSink};
 
-/// Per-RR scratch for the HFS stage, reused across samples.
+/// The per-query dense tables HFS reads instead of `Chain::level_of`, and
+/// the layout of the counter table it writes.
+///
+/// Built by one `level_of` sweep over the chain's universe. Counter row
+/// `h` has one column per member of `C_h`: a node HFS records at level `h`
+/// is always inside `C_h`. Columns list chain nodes by level, then id, so
+/// the members of every `C_h` are a prefix of the column order and all
+/// rows together hold `Σ_h |C_h|` counters.
+#[derive(Default, Debug)]
+pub(crate) struct LevelTable {
+    /// `node → deepest chain level` over ids `0..=max universe id`;
+    /// `u32::MAX` outside every chain community.
+    level: Vec<u32>,
+    /// `node → counter column` (meaningful for chain nodes only).
+    column: Vec<u32>,
+    /// `column → node`.
+    order: Vec<NodeId>,
+    /// Counter row `h` spans `rows[h]..rows[h + 1]`.
+    rows: Vec<usize>,
+}
+
+impl LevelTable {
+    /// Rebuilds the tables for `chain` over its sorted `universe`.
+    pub(crate) fn build(&mut self, chain: &impl Chain, universe: &[NodeId]) {
+        let m = chain.len();
+        let bound = universe.last().map_or(0, |&v| v as usize + 1);
+        self.level.clear();
+        self.level.resize(bound, u32::MAX);
+        // `ends[l]`: chain nodes of level < l, turned into column cursors.
+        let mut ends = vec![0usize; m + 1];
+        for &v in universe {
+            if let Some(l) = chain.level_of(v) {
+                self.level[v as usize] = l as u32;
+                ends[l + 1] += 1;
+            }
+        }
+        for l in 0..m {
+            ends[l + 1] += ends[l];
+        }
+        self.rows.clear();
+        self.rows.push(0);
+        for h in 0..m {
+            self.rows.push(self.rows[h] + ends[h + 1]);
+        }
+        self.column.clear();
+        self.column.resize(bound, 0);
+        self.order.clear();
+        self.order.resize(ends[m], 0);
+        for &v in universe {
+            let l = self.level[v as usize];
+            if l != u32::MAX {
+                let c = &mut ends[l as usize];
+                self.column[v as usize] = *c as u32;
+                self.order[*c] = v;
+                *c += 1;
+            }
+        }
+    }
+
+    /// Number of chain levels `m`.
+    #[inline]
+    pub(crate) fn depth(&self) -> usize {
+        self.rows.len().saturating_sub(1)
+    }
+
+    /// Deepest chain level containing `v`; `>= depth()` when none does.
+    #[inline]
+    pub(crate) fn level_of(&self, v: NodeId) -> usize {
+        self.level.get(v as usize).copied().unwrap_or(u32::MAX) as usize
+    }
+
+    /// Start of counter row `h`.
+    #[inline]
+    pub(crate) fn row(&self, h: usize) -> usize {
+        self.rows[h]
+    }
+
+    /// Counter column of chain node `v`.
+    #[inline]
+    pub(crate) fn column(&self, v: NodeId) -> usize {
+        self.column[v as usize] as usize
+    }
+
+    /// Total counters across all rows.
+    pub(crate) fn cells(&self) -> usize {
+        self.rows.last().copied().unwrap_or(0)
+    }
+
+    /// Turns a counter table into stage-2 buckets: `buckets[h]` maps each
+    /// node with a non-zero row-`h` counter to that count.
+    pub(crate) fn drain_into(&self, counts: &[u32], buckets: &mut [FxHashMap<NodeId, u32>]) {
+        for (h, bucket) in buckets.iter_mut().enumerate() {
+            let row = &counts[self.rows[h]..self.rows[h + 1]];
+            for (&c, &v) in row.iter().zip(&self.order) {
+                if c != 0 {
+                    bucket.insert(v, c);
+                }
+            }
+        }
+    }
+
+    /// Bytes held by the tables (capacity).
+    pub(crate) fn memory_bytes(&self) -> usize {
+        (self.level.capacity() + self.column.capacity() + self.order.capacity()) * size_of::<u32>()
+            + self.rows.capacity() * size_of::<usize>()
+    }
+}
+
+/// Per-RR scratch for the HFS stage plus the counter table it fills,
+/// reused across samples.
 #[derive(Default, Debug)]
 pub(crate) struct HfsScratch {
     pub(crate) queues: Vec<Vec<u32>>,
     pub(crate) explored: Vec<bool>,
-    pub(crate) level_cache: Vec<usize>,
-    /// Dense per-query `node → chain level` table for pooled folds
-    /// (`u32::MAX` = prune): one `level_of` sweep per query instead of one
-    /// per RR-graph node, which is what makes a warm fold cheap.
-    pub(crate) levels: Vec<u32>,
+    /// The dense `m × |C_h|` counter table (layout in [`LevelTable`]):
+    /// how many RR graphs HFS first reached each node at each level.
+    pub(crate) counts: Vec<u32>,
+    /// Non-zero counters — the bucket entries stage 2 will receive.
+    pub(crate) touched: usize,
 }
 
 impl HfsScratch {
-    pub(crate) fn new(m: usize) -> Self {
-        Self {
-            queues: vec![Vec::new(); m],
-            explored: Vec::new(),
-            level_cache: Vec::new(),
-            levels: Vec::new(),
+    /// Readies the scratch for a chain of `m` levels and `cells` counters,
+    /// all zero.
+    pub(crate) fn prepare(&mut self, m: usize, cells: usize) {
+        for queue in &mut self.queues {
+            queue.clear();
         }
-    }
-
-    /// Readies the scratch for a chain of `m` levels. Queues are already
-    /// drained by `hfs_record`; only the level count needs adjusting.
-    pub(crate) fn prepare(&mut self, m: usize) {
-        debug_assert!(self.queues.iter().all(Vec::is_empty));
         self.queues.truncate(m);
         self.queues.resize_with(m, Vec::new);
+        self.counts.clear();
+        self.counts.resize(cells, 0);
+        self.touched = 0;
+    }
+
+    /// Counts one more RR graph in counter `cell`.
+    #[inline]
+    pub(crate) fn bump(&mut self, cell: usize) {
+        let count = &mut self.counts[cell];
+        self.touched += usize::from(*count == 0);
+        *count += 1;
+    }
+
+    /// Bytes held by the queues, explored flags and counters (capacity).
+    pub(crate) fn memory_bytes(&self) -> usize {
+        (self.queues.iter().map(Vec::capacity).sum::<usize>() + self.counts.capacity())
+            * size_of::<u32>()
+            + self.explored.capacity()
     }
 }
 
@@ -81,6 +205,7 @@ impl TopKScratch {
 #[derive(Default, Debug)]
 pub struct QueryScratch {
     pub(crate) sampler: SamplerScratch,
+    pub(crate) levels: LevelTable,
     pub(crate) hfs: HfsScratch,
     pub(crate) buckets: Vec<FxHashMap<NodeId, u32>>,
     pub(crate) topk: TopKScratch,
@@ -108,29 +233,28 @@ impl QueryScratch {
         self.sink.take()
     }
 
-    /// Clears and resizes the bucket vector for an `m`-level chain,
-    /// retaining map capacity from earlier queries.
-    pub(crate) fn prepare_buckets(&mut self, m: usize) {
+    /// Readies the workspace for one evaluation over `chain` (whose
+    /// sorted universe is `universe`): rebuilds the level tables, zeroes
+    /// the counter table and clears the buckets, retaining capacity from
+    /// earlier queries.
+    pub(crate) fn prepare(&mut self, chain: &impl Chain, universe: &[NodeId]) {
+        let m = chain.len();
         for b in &mut self.buckets {
             b.clear();
         }
         self.buckets.truncate(m);
         self.buckets.resize_with(m, FxHashMap::default);
-        self.hfs.prepare(m);
+        self.levels.build(chain, universe);
+        self.hfs.prepare(m, self.levels.cells());
         self.topk.prepare();
     }
 
     /// Approximate bytes retained by the workspace (sampler stamps plus
     /// vector capacities; map capacity is not observable and excluded).
     pub fn memory_bytes(&self) -> usize {
-        let hfs = self.hfs.queues.iter().map(Vec::capacity).sum::<usize>()
-            * std::mem::size_of::<u32>()
-            + self.hfs.explored.capacity()
-            + self.hfs.level_cache.capacity() * std::mem::size_of::<usize>()
-            + self.hfs.levels.capacity() * std::mem::size_of::<u32>();
         let topk = (self.topk.pool.capacity() + self.topk.candidates.capacity())
-            * std::mem::size_of::<NodeId>()
-            + self.topk.taus.capacity() * std::mem::size_of::<u32>();
-        self.sampler.memory_bytes() + hfs + topk
+            * size_of::<NodeId>()
+            + self.topk.taus.capacity() * size_of::<u32>();
+        self.sampler.memory_bytes() + self.levels.memory_bytes() + self.hfs.memory_bytes() + topk
     }
 }

@@ -9,6 +9,8 @@
 //! * [`rrgraph::RrGraph`] — an RR set *plus its activated edges*
 //!   (Definition 2), supporting induced restriction to a community
 //!   (Definition 3) and the possible-world coupling of Theorem 2;
+//!   [`rrgraph::RrArena`] stores many of them in four flat streams, read
+//!   through the same [`rrgraph::RrRef`] view;
 //! * [`sampler::RrSampler`] — RR-graph generation with reusable scratch
 //!   space, including community-restricted sampling for the Independent
 //!   baseline;
@@ -36,6 +38,6 @@ pub use estimate::{rank_in_members, InfluenceEstimate, SourceUniverse};
 pub use im::RrPool;
 pub use model::Model;
 pub use parallel::{par_ranges, Parallelism, SeedPolicy, SeededOnly};
-pub use rrgraph::RrGraph;
+pub use rrgraph::{RrArena, RrGraph, RrRef};
 pub use sampler::{RrSampler, SampleStats, SamplerScratch};
 pub use seed::{splitmix64, SeedSequence};

@@ -4,7 +4,7 @@ use cod_graph::{Csr, NodeId};
 use rand::prelude::*;
 
 use crate::model::Model;
-use crate::rrgraph::RrGraph;
+use crate::rrgraph::{RrArena, RrGraph, RrRef};
 
 /// Generates RR graphs on a graph under a diffusion model.
 ///
@@ -31,11 +31,22 @@ use crate::rrgraph::RrGraph;
 pub struct RrSampler<'g> {
     g: &'g Csr,
     model: Model,
+    walk: Walk,
+    /// Scratch arena behind [`RrSampler::sample_view`] and the owned
+    /// samplers: cleared before every draw.
+    arena: RrArena,
+}
+
+/// The BFS state of one draw, reused across draws.
+#[derive(Default, Debug)]
+struct Walk {
     /// `stamp[v] == epoch` iff `v` is in the RR set being built.
     stamp: Vec<u32>,
     /// Local index of `v` in the current sample (valid when stamped).
     local: Vec<u32>,
     epoch: u32,
+    /// One node's reverse expansion, before the restriction filter.
+    expansion: Vec<NodeId>,
     stats: SampleStats,
 }
 
@@ -53,23 +64,24 @@ pub struct RrSampler<'g> {
 /// extension.
 #[derive(Default, Debug)]
 pub struct SamplerScratch {
-    stamp: Vec<u32>,
-    local: Vec<u32>,
-    epoch: u32,
-    stats: SampleStats,
+    walk: Walk,
+    arena: RrArena,
 }
 
 impl SamplerScratch {
     /// Bytes held by the scratch buffers (capacity, not length).
     pub fn memory_bytes(&self) -> usize {
-        (self.stamp.capacity() + self.local.capacity()) * std::mem::size_of::<u32>()
+        let w = &self.walk;
+        (w.stamp.capacity() + w.local.capacity() + w.expansion.capacity())
+            * std::mem::size_of::<u32>()
+            + self.arena.memory_bytes()
     }
 
     /// Cumulative sampling effort recorded by every sampler this scratch
     /// has passed through. Callers that want per-query numbers snapshot
     /// before and after and subtract.
     pub fn stats(&self) -> SampleStats {
-        self.stats
+        self.walk.stats
     }
 }
 
@@ -110,6 +122,62 @@ impl SampleStats {
     }
 }
 
+impl Walk {
+    /// Explores one RR graph from `source` (paper Definition 2) and appends
+    /// it to `out`. The BFS expands nodes in discovery order and records
+    /// each node's activated edges together, so the node's CSR offset is
+    /// closed as soon as its expansion ends — no edge list, no sort.
+    fn sample_into<R: Rng>(
+        &mut self,
+        g: &Csr,
+        model: Model,
+        out: &mut RrArena,
+        source: NodeId,
+        rng: &mut R,
+        keep: impl Fn(NodeId) -> bool,
+    ) {
+        debug_assert!(keep(source), "source must satisfy the restriction");
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamp wrap-around: reset (once every 2^32 samples).
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        let base = out.next_node();
+        let edges_before = out.num_edges();
+        out.push_node(source);
+        self.stamp[source as usize] = epoch;
+        self.local[source as usize] = 0;
+        let mut frontier = base;
+        while frontier < out.next_node() {
+            let v = out.node_at(frontier);
+            frontier += 1;
+            self.expansion.clear();
+            model.reverse_expand(g, v, rng, &mut self.expansion);
+            for &u in &self.expansion {
+                if !keep(u) {
+                    continue;
+                }
+                let lu = if self.stamp[u as usize] == epoch {
+                    self.local[u as usize]
+                } else {
+                    let lu = (out.next_node() - base) as u32;
+                    self.stamp[u as usize] = epoch;
+                    self.local[u as usize] = lu;
+                    out.push_node(u);
+                    lu
+                };
+                out.push_target(lu);
+            }
+            out.end_node();
+        }
+        out.end_graph();
+        self.stats.graphs += 1;
+        self.stats.edges += (out.num_edges() - edges_before) as u64;
+    }
+}
+
 impl<'g> RrSampler<'g> {
     /// A sampler over `g` under `model`.
     pub fn new(g: &'g Csr, model: Model) -> Self {
@@ -121,37 +189,28 @@ impl<'g> RrSampler<'g> {
     /// Sampling behaviour is identical to [`RrSampler::new`] — the scratch
     /// only affects allocation, never the drawn RR graphs.
     pub fn with_scratch(g: &'g Csr, model: Model, scratch: SamplerScratch) -> Self {
-        let SamplerScratch {
-            mut stamp,
-            mut local,
-            epoch,
-            stats,
-        } = scratch;
-        stamp.resize(g.num_nodes(), 0);
-        local.resize(g.num_nodes(), 0);
+        let SamplerScratch { mut walk, arena } = scratch;
+        walk.stamp.resize(g.num_nodes(), 0);
+        walk.local.resize(g.num_nodes(), 0);
         Self {
             g,
             model,
-            stamp,
-            local,
-            epoch,
-            stats,
+            walk,
+            arena,
         }
     }
 
     /// Releases the scratch buffers for reuse by a later sampler.
     pub fn into_scratch(self) -> SamplerScratch {
         SamplerScratch {
-            stamp: self.stamp,
-            local: self.local,
-            epoch: self.epoch,
-            stats: self.stats,
+            walk: self.walk,
+            arena: self.arena,
         }
     }
 
     /// Cumulative sampling effort (including any carried in via scratch).
     pub fn stats(&self) -> SampleStats {
-        self.stats
+        self.walk.stats
     }
 
     /// The diffusion model in use.
@@ -187,45 +246,36 @@ impl<'g> RrSampler<'g> {
         rng: &mut R,
         keep: impl Fn(NodeId) -> bool,
     ) -> RrGraph {
-        debug_assert!(keep(source), "source must satisfy the restriction");
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Stamp wrap-around: reset (once every 2^32 samples).
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
-        let mut nodes = vec![source];
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        self.stamp[source as usize] = epoch;
-        self.local[source as usize] = 0;
-        let mut frontier = 0usize;
-        let mut expansion: Vec<NodeId> = Vec::new();
-        while frontier < nodes.len() {
-            let v = nodes[frontier];
-            let lv = frontier as u32;
-            frontier += 1;
-            expansion.clear();
-            self.model.reverse_expand(self.g, v, rng, &mut expansion);
-            for &u in &expansion {
-                if !keep(u) {
-                    continue;
-                }
-                let lu = if self.stamp[u as usize] == epoch {
-                    self.local[u as usize]
-                } else {
-                    let lu = nodes.len() as u32;
-                    self.stamp[u as usize] = epoch;
-                    self.local[u as usize] = lu;
-                    nodes.push(u);
-                    lu
-                };
-                edges.push((lv, lu));
-            }
-        }
-        self.stats.graphs += 1;
-        self.stats.edges += edges.len() as u64;
-        RrGraph::from_parts(nodes, &edges)
+        self.sample_view(source, rng, keep).to_graph()
+    }
+
+    /// [`RrSampler::sample_restricted`] into the sampler's scratch arena:
+    /// the view is valid until the next draw, and drawing allocates
+    /// nothing once the arena has grown to the largest sample.
+    pub fn sample_view<R: Rng>(
+        &mut self,
+        source: NodeId,
+        rng: &mut R,
+        keep: impl Fn(NodeId) -> bool,
+    ) -> RrRef<'_> {
+        self.arena.clear();
+        self.walk
+            .sample_into(self.g, self.model, &mut self.arena, source, rng, keep);
+        self.arena.get(0)
+    }
+
+    /// [`RrSampler::sample_restricted`] appended to `out`, for callers that
+    /// keep many samples: no per-sample allocation, and `out` holds the
+    /// sample in its flat streams.
+    pub fn sample_into<R: Rng>(
+        &mut self,
+        out: &mut RrArena,
+        source: NodeId,
+        rng: &mut R,
+        keep: impl Fn(NodeId) -> bool,
+    ) {
+        self.walk
+            .sample_into(self.g, self.model, out, source, rng, keep);
     }
 }
 
@@ -239,6 +289,104 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(1, 2);
         b.build()
+    }
+
+    /// The sampler's former builder, kept as the reference: explore into a
+    /// node list plus a `(from, to)` edge list, then CSR-convert by
+    /// counting sort ([`RrGraph::from_parts`]).
+    fn reference_sample<R: Rng>(
+        g: &Csr,
+        model: Model,
+        source: NodeId,
+        rng: &mut R,
+        keep: impl Fn(NodeId) -> bool,
+    ) -> RrGraph {
+        let mut local = std::collections::HashMap::new();
+        local.insert(source, 0u32);
+        let mut nodes = vec![source];
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut frontier = 0usize;
+        let mut expansion = Vec::new();
+        while frontier < nodes.len() {
+            let v = nodes[frontier];
+            let lv = frontier as u32;
+            frontier += 1;
+            expansion.clear();
+            model.reverse_expand(g, v, rng, &mut expansion);
+            for &u in &expansion {
+                if !keep(u) {
+                    continue;
+                }
+                let lu = *local.entry(u).or_insert_with(|| {
+                    nodes.push(u);
+                    nodes.len() as u32 - 1
+                });
+                edges.push((lv, lu));
+            }
+        }
+        RrGraph::from_parts(nodes, &edges)
+    }
+
+    fn random_graph(n: usize, m: usize, seed: u64) -> Csr {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n);
+        for _ in 0..m {
+            let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+            if u != v {
+                b.add_edge(u as NodeId, v as NodeId);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn in_place_writer_draws_what_the_reference_builder_drew() {
+        let g = random_graph(40, 160, 5);
+        let models = [
+            Model::WeightedCascade,
+            Model::UniformIc(0.4),
+            Model::LinearThreshold,
+            Model::RandomK(2),
+        ];
+        let inside = |v: NodeId| v % 3 != 1;
+        for model in models {
+            for restricted in [false, true] {
+                let keep = |v: NodeId| !restricted || inside(v);
+                let mut sampler = RrSampler::new(&g, model);
+                let mut arena = RrArena::new();
+                let mut want = Vec::new();
+                let mut ours = SmallRng::seed_from_u64(17);
+                let mut theirs = SmallRng::seed_from_u64(17);
+                for i in 0..300u32 {
+                    let source = (i * 7) % 40;
+                    if !keep(source) {
+                        continue;
+                    }
+                    let reference = reference_sample(&g, model, source, &mut theirs, keep);
+                    // Rotate through the three write paths.
+                    match i % 3 {
+                        0 => assert_eq!(
+                            sampler.sample_restricted(source, &mut ours, keep),
+                            reference
+                        ),
+                        1 => assert_eq!(
+                            sampler.sample_view(source, &mut ours, keep),
+                            reference.view()
+                        ),
+                        _ => sampler.sample_into(&mut arena, source, &mut ours, keep),
+                    }
+                    if i % 3 == 2 {
+                        want.push(reference);
+                    }
+                }
+                assert_eq!(arena.len(), want.len());
+                for (got, want) in arena.iter().zip(&want) {
+                    assert_eq!(got, want.view(), "{model:?} restricted={restricted}");
+                }
+                // Identical RNG consumption: both streams are in lockstep.
+                assert_eq!(ours.next_u64(), theirs.next_u64(), "{model:?}");
+            }
+        }
     }
 
     #[test]

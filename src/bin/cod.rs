@@ -708,10 +708,17 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
                     "note: a query limit fired; the answer was served by the \
                      {rung:?} rung of the degradation ladder (best-effort)"
                 );
-            } else if ans.uncertain {
+            } else if ans.uncertain && opts.budget.is_some() {
                 println!(
-                    "note: best-effort answer (sample budget truncated the evaluation); \
-                     raise or drop --budget for a firm answer"
+                    "note: best-effort answer (the sample budget may have truncated the \
+                     evaluation); raise or drop --budget for a firm answer"
+                );
+            } else if ans.uncertain {
+                // Without --budget nothing truncates the evaluation: the
+                // flag means the top-k verdict is within sampling noise.
+                println!(
+                    "note: uncertain answer (the top-k verdict is within sampling noise); \
+                     raise --theta for a firm answer"
                 );
             }
             println!(

@@ -356,6 +356,20 @@ fn zero_budget_fails_cleanly_and_tight_budget_flags_the_answer() {
     );
 }
 
+/// An uncertain answer without `--budget` was flagged by sampling noise,
+/// not truncation: the note must say so and point at `--theta`.
+#[test]
+fn uncertain_answer_without_budget_blames_sampling_noise() {
+    let o = run(&[
+        "query", "--preset", "cora", "--node", "17", "--method", "codu",
+    ]);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    let out = stdout(&o);
+    assert!(out.contains("sampling noise"), "unexpected output: {out}");
+    assert!(out.contains("--theta"), "unexpected output: {out}");
+    assert!(!out.contains("budget"), "no --budget was given: {out}");
+}
+
 #[test]
 fn mutate_replays_a_log_with_per_event_outcomes() {
     let dir = std::env::temp_dir().join(format!("cod-mutate-{}", std::process::id()));

@@ -89,8 +89,10 @@ fn comparable(
 // ---------------------------------------------------------------------------
 
 /// A pool grown in three top-ups at t threads equals a pool sampled fresh
-/// to the final size serially — graph for graph, edge for edge. This is
-/// the cache's foundational identity: reuse can never change a sample.
+/// to the final size serially — stream for stream: the concatenated
+/// starts, nodes, offsets and targets of its arenas are equal, whatever
+/// the growth shards cut. This is the cache's foundational identity:
+/// reuse can never change a sample.
 #[test]
 fn grown_pool_matches_fresh_pool_across_thread_counts() {
     let _g = guard();
@@ -107,6 +109,7 @@ fn grown_pool_matches_fresh_pool_across_thread_counts() {
         None,
     );
     assert_eq!(fv.len(), 220);
+    let want = fv.to_arena();
     for t in THREADS {
         let grown = RrPoolEntry::new(Some(2), universe.clone(), false);
         for target in [40, 100, 220] {
@@ -128,7 +131,7 @@ fn grown_pool_matches_fresh_pool_across_thread_counts() {
         assert_eq!(stats.graphs, 0, "threads {t}: final ensure is a pure read");
         assert_eq!(gv.len(), 220);
         assert!(
-            gv.iter().eq(fv.iter()),
+            gv.to_arena() == want,
             "threads {t}: grown pool diverged from fresh pool"
         );
         assert_eq!(grown.chunk_lens(), vec![40, 60, 120], "threads {t}");
@@ -172,7 +175,7 @@ fn restricted_grown_pool_matches_fresh_pool() {
             None,
         );
         assert!(
-            gv.iter().eq(fv.iter()),
+            gv.to_arena() == fv.to_arena(),
             "threads {t}: restricted top-up diverged"
         );
     }
@@ -441,6 +444,52 @@ fn pool_fold_cancellation_degrades_gracefully() {
     }
 }
 
+/// The pooled fold charges its dense level and counter tables and the
+/// bucket entries it will hand to stage 2, so a small memory cap still
+/// stops a fold over a warm pool (no growth, hence no growth-side charge)
+/// and the query answers best-effort, flagged, instead of failing.
+#[test]
+fn pool_fold_memory_cap_degrades_gracefully() {
+    let _g = guard();
+    failpoint::disarm_all();
+    let data = dataset();
+    let engine = CodEngine::new(data.graph.clone(), pooled_cfg(2));
+    let queries = workload(&data.graph);
+    let mut rng = SmallRng::seed_from_u64(7777);
+    for r in engine.query_batch(&queries, &mut rng) {
+        r.unwrap_or_else(|e| panic!("warm-up error: {e}"));
+    }
+    let resident = engine.pool_stats().resident_bytes;
+    let capped = QueryLimits {
+        max_memory_bytes: Some(64),
+        ..QueryLimits::default()
+    };
+    let mut fired = 0u64;
+    for &query in &queries {
+        let mut rng = SmallRng::seed_from_u64(7777);
+        match engine.query_with_limits(query, &capped, &mut rng) {
+            Ok(Some(a)) if a.degraded.is_some() => {
+                assert!(a.uncertain, "degraded pooled answer not uncertain");
+                fired += 1;
+            }
+            // HIMOR index answers need no fold.
+            Ok(Some(a)) => assert_eq!(a.source, pcod::cod::AnswerSource::Index, "{a:?}"),
+            Ok(None) => {}
+            Err(CodError::DeadlineExceeded) => fired += 1,
+            Err(other) => panic!("unexpected error under a memory cap: {other}"),
+        }
+    }
+    assert!(
+        fired > 0,
+        "a 64-byte memory cap never stopped a pooled fold"
+    );
+    assert_eq!(
+        engine.pool_stats().resident_bytes,
+        resident,
+        "the capped pass must fold warm pools, not grow them"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Property: top-up schedules tile the index space injectively, gap-free.
 // ---------------------------------------------------------------------------
@@ -494,6 +543,6 @@ proptest! {
         let fresh = RrPoolEntry::new(Some(1), universe, false);
         let (fv, _) = fresh.ensure(&g, Model::WeightedCascade, target, Parallelism::Threads(1), None);
         let (gv, _) = grown.ensure(&g, Model::WeightedCascade, target, Parallelism::Threads(1), None);
-        prop_assert!(gv.iter().eq(fv.iter()), "schedule diverged from fresh pool");
+        prop_assert!(gv.to_arena() == fv.to_arena(), "schedule diverged from fresh pool");
     }
 }
