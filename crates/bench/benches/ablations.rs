@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use cod_bench::util::cod_fresh;
 use cod_core::chain::DendroChain;
-use cod_core::compressed::compressed_cod;
 use cod_core::recluster::{build_hierarchy, global_recluster};
 use cod_core::CodConfig;
 use cod_hierarchy::LcaIndex;
@@ -63,9 +63,7 @@ fn bench_ablations(c: &mut Criterion) {
                     let chain =
                         DendroChain::new(&dendro, &lca, q).expect("query node within hierarchy");
                     black_box(
-                        compressed_cod(g.csr(), model, &chain, q, cfg.k, cfg.theta, &mut rng)
-                            .expect("valid query")
-                            .best_level,
+                        cod_fresh(g.csr(), model, &chain, q, cfg.k, cfg.theta, &mut rng).best_level,
                     );
                 }
             })

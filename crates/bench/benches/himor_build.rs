@@ -6,7 +6,7 @@ use std::hint::black_box;
 use cod_core::recluster::build_hierarchy;
 use cod_core::{CodConfig, HimorIndex};
 use cod_hierarchy::LcaIndex;
-use rand::prelude::*;
+use cod_influence::Parallelism;
 
 fn bench_build(c: &mut Criterion) {
     let cfg = CodConfig::default();
@@ -20,23 +20,17 @@ fn bench_build(c: &mut Criterion) {
         let g = data.graph.csr().clone();
         let dendro = build_hierarchy(&g, cfg.linkage);
         let lca = LcaIndex::new(&dendro);
-        group.bench_function(name, |b| {
-            let mut rng = SmallRng::seed_from_u64(30);
-            b.iter(|| {
-                black_box(
-                    HimorIndex::build(&g, cfg.model, &dendro, &lca, cfg.theta, &mut rng)
-                        .memory_bytes(),
-                )
-            })
-        });
-        group.bench_function(format!("{name}_parallel4"), |b| {
-            b.iter(|| {
-                black_box(
-                    HimorIndex::build_parallel(&g, cfg.model, &dendro, &lca, cfg.theta, 30, 4)
-                        .memory_bytes(),
-                )
-            })
-        });
+        for (label, threads) in [(name.to_string(), 1), (format!("{name}_parallel4"), 4)] {
+            let par = Parallelism::Threads(threads);
+            group.bench_function(label, |b| {
+                b.iter(|| {
+                    black_box(
+                        HimorIndex::build(&g, cfg.model, &dendro, &lca, cfg.theta, 30, par, None)
+                            .map(|index| index.memory_bytes()),
+                    )
+                })
+            });
+        }
     }
     group.finish();
 }

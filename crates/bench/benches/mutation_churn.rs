@@ -16,7 +16,6 @@ use std::hint::black_box;
 use cod_core::dynamic::DynamicCod;
 use cod_core::{CodConfig, DurabilityConfig, DurableCod, FsyncPolicy, Mutation};
 use cod_graph::NodeId;
-use cod_influence::Parallelism;
 use rand::prelude::*;
 
 /// `count` edges absent from `g`, deterministic in `seed`.
@@ -38,10 +37,7 @@ fn absent_edges(g: &cod_graph::AttributedGraph, count: usize, seed: u64) -> Vec<
 fn bench_churn(c: &mut Criterion) {
     let data = cod_datasets::cora_like(1);
     let g = &data.graph;
-    let cfg = CodConfig {
-        parallelism: Parallelism::Threads(1),
-        ..CodConfig::default()
-    };
+    let cfg = CodConfig::default();
     let batch = (g.num_edges() / 100).max(1); // ~1% of |E| in the stream
     let edges = absent_edges(g, batch, 0xC0D);
 
@@ -52,9 +48,8 @@ fn bench_churn(c: &mut Criterion) {
     // The stream cycles through the 1%-churn edge list, toggling each edge
     // so the graph never drifts from its seed topology.
     group.bench_function("repair_per_event", |b| {
-        let mut d = DynamicCod::with_seed(g, cfg, 7);
+        let mut d = DynamicCod::new(g, cfg, 7);
         d.set_repair_verification(false);
-        let mut rng = SmallRng::seed_from_u64(1);
         let mut present = vec![false; edges.len()];
         let mut i = 0usize;
         b.iter(|| {
@@ -66,7 +61,7 @@ fn bench_churn(c: &mut Criterion) {
             }
             present[i % edges.len()] = !present[i % edges.len()];
             i += 1;
-            black_box(d.flush(&mut rng).expect("ungoverned flush").outcome)
+            black_box(d.flush().expect("ungoverned flush").outcome)
         })
     });
 
@@ -109,9 +104,8 @@ fn bench_churn(c: &mut Criterion) {
 
     // The identical stream forced through full from-scratch rebuilds.
     group.bench_function("rebuild_per_event", |b| {
-        let mut d = DynamicCod::with_seed(g, cfg, 7);
+        let mut d = DynamicCod::new(g, cfg, 7);
         d.set_rebuild_threshold(0.0);
-        let mut rng = SmallRng::seed_from_u64(1);
         let mut present = vec![false; edges.len()];
         let mut i = 0usize;
         b.iter(|| {
@@ -123,7 +117,7 @@ fn bench_churn(c: &mut Criterion) {
             }
             present[i % edges.len()] = !present[i % edges.len()];
             i += 1;
-            black_box(d.flush(&mut rng).expect("ungoverned flush").outcome)
+            black_box(d.flush().expect("ungoverned flush").outcome)
         })
     });
 

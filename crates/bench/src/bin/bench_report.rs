@@ -321,7 +321,7 @@ fn parse_entries(text: &str) -> Result<BTreeMap<String, Entry>, String> {
 }
 
 /// A deterministic telemetry-counter snapshot: a fixed mixed-method batch on
-/// the `cora` preset, serial, seed 42. Counters never depend on wall-clock
+/// the `cora` preset, one thread, seed 42. Counters never depend on wall-clock
 /// timing, so two runs of the same code produce identical numbers and any
 /// diff against the committed baseline reflects an algorithmic change.
 fn counter_snapshot() -> BTreeMap<&'static str, u64> {
@@ -336,7 +336,7 @@ fn counter_snapshot() -> BTreeMap<&'static str, u64> {
         Query::new(99, attr_of(99), Method::Codl),
     ];
     let cfg = CodConfig {
-        parallelism: Parallelism::Serial,
+        parallelism: Parallelism::Threads(1),
         ..CodConfig::default()
     };
     let engine = CodEngine::new(g, cfg);

@@ -1,6 +1,55 @@
-//! Timing and formatting helpers for the experiment harness.
+//! Timing, formatting and seeding helpers for the experiment harness.
 
 use std::time::{Duration, Instant};
+
+use cod_core::chain::Chain;
+use cod_core::compressed::{compressed_cod, CodOutcome, CodRequest, Samples};
+use cod_core::HimorIndex;
+use cod_graph::{Csr, NodeId};
+use cod_hierarchy::{Dendrogram, LcaIndex};
+use cod_influence::{Model, Parallelism, SeedSequence};
+use rand::Rng;
+
+/// Per-index seeds for one sampling call, their master drawn from the
+/// harness RNG `rng`: a run is a pure function of the harness seeds.
+pub fn seeds_from<R: Rng>(rng: &mut R) -> SeedSequence {
+    SeedSequence::new(rng.next_u64())
+}
+
+/// Compressed COD (Algorithm 1) for `q` over `chain` with `θ = theta`, on
+/// fresh single-threaded samples whose master seed is drawn from `rng`.
+#[allow(clippy::too_many_arguments)] // the paper's query signature plus the harness RNG
+pub fn cod_fresh<R: Rng>(
+    g: &Csr,
+    model: Model,
+    chain: &impl Chain,
+    q: NodeId,
+    k: usize,
+    theta: usize,
+    rng: &mut R,
+) -> CodOutcome {
+    let req = CodRequest::new(g, model, chain, q, k, theta);
+    let fresh = Samples::Fresh {
+        seed: rng.next_u64(),
+        par: Parallelism::Threads(1),
+    };
+    compressed_cod(&req, fresh, None, None).expect("valid query")
+}
+
+/// The HIMOR index over `dendro` (`θ = theta`), built single-threaded from
+/// a seed drawn from `rng`.
+pub fn himor_from<R: Rng>(
+    g: &Csr,
+    model: Model,
+    dendro: &Dendrogram,
+    lca: &LcaIndex,
+    theta: usize,
+    rng: &mut R,
+) -> HimorIndex {
+    let seed = rng.next_u64();
+    let par = Parallelism::Threads(1);
+    HimorIndex::build(g, model, dendro, lca, theta, seed, par, None).expect("ungoverned build")
+}
 
 /// Runs `f`, returning its result and wall-clock duration.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {

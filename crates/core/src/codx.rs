@@ -622,8 +622,7 @@ mod tests {
     use crate::recluster::build_hierarchy;
     use cod_graph::GraphBuilder;
     use cod_hierarchy::{LcaIndex, Linkage};
-    use cod_influence::Model;
-    use rand::prelude::*;
+    use cod_influence::{Model, Parallelism};
 
     fn setup() -> (AttributedGraph, Dendrogram, HimorIndex) {
         let mut b = GraphBuilder::new(10);
@@ -643,8 +642,17 @@ mod tests {
         let g = AttributedGraph::from_parts(csr, attrs, interner);
         let dendro = build_hierarchy(g.csr(), Linkage::Average);
         let lca = LcaIndex::new(&dendro);
-        let mut rng = SmallRng::seed_from_u64(50);
-        let index = HimorIndex::build(g.csr(), Model::WeightedCascade, &dendro, &lca, 5, &mut rng);
+        let index = HimorIndex::build(
+            g.csr(),
+            Model::WeightedCascade,
+            &dendro,
+            &lca,
+            5,
+            50,
+            Parallelism::Threads(1),
+            None,
+        )
+        .unwrap();
         (g, dendro, index)
     }
 

@@ -17,10 +17,9 @@
 //! Total cost `O(Θ·ω + |H(q)|)` (Theorem 4).
 
 use cod_graph::{Csr, FxHashMap, NodeId};
-use cod_influence::{
-    par_ranges, CancelToken, Model, Parallelism, RrRef, RrSampler, SeedPolicy, SeedSequence,
-};
+use cod_influence::{par_ranges, CancelToken, Model, Parallelism, RrRef, RrSampler, SeedSequence};
 use rand::prelude::*;
+use std::ops::Range;
 
 use crate::chain::Chain;
 use crate::error::{CodError, CodResult};
@@ -76,92 +75,74 @@ impl CodOutcome {
     }
 }
 
-/// Runs compressed COD evaluation (Algorithm 1) for query `q` over `chain`.
+/// One compressed-COD request: the paper's query signature — graph,
+/// model, chain `H(q)`, query node, rank threshold and per-node sample
+/// density — plus an optional total-sample budget.
 ///
-/// `theta_per_node` is the paper's `θ`; the total sample count is
-/// `Θ = θ · |universe|` where the universe is the chain's largest community.
-/// RR-graph sources are uniform over the universe and traversal is
-/// restricted to it (a no-op when the chain tops out at the whole graph).
-///
-/// Fails with [`CodError::InvalidQuery`] when `k == 0` or `q` is not in the
-/// chain's deepest community.
-pub fn compressed_cod<R: Rng>(
-    g: &Csr,
-    model: Model,
-    chain: &(impl Chain + Sync),
-    q: NodeId,
-    k: usize,
-    theta_per_node: usize,
-    rng: &mut R,
-) -> CodResult<CodOutcome> {
-    compressed_cod_budgeted(g, model, chain, q, k, theta_per_node, None, rng)
+/// `theta` is the paper's `θ`; the total sample count is
+/// `Θ = θ · |universe|` where the universe is the chain's largest
+/// community. RR-graph sources are uniform over the universe and traversal
+/// is restricted to it (a no-op when the chain tops out at the whole
+/// graph). With a `budget` smaller than `Θ` the evaluation runs on
+/// whatever the budget permits and flags the outcome
+/// [`CodOutcome::truncated`].
+pub struct CodRequest<'a, C> {
+    /// The graph RR samples are drawn on.
+    pub g: &'a Csr,
+    /// The diffusion model.
+    pub model: Model,
+    /// The hierarchical-community chain `H(q)`.
+    pub chain: &'a C,
+    /// The query node (must lie in the chain's deepest community).
+    pub q: NodeId,
+    /// The rank threshold (`k ≥ 1`).
+    pub k: usize,
+    /// RR graphs per universe node (`θ`).
+    pub theta: usize,
+    /// Optional cap on the total RR samples stage 1 may use.
+    pub budget: Option<usize>,
 }
 
-/// [`compressed_cod`] with an optional total-sample budget: when fewer than
-/// `Θ = θ·|universe|` samples are allowed, the evaluation runs on whatever
-/// the budget permits and marks the outcome [`CodOutcome::truncated`] so
-/// callers can flag the answer as uncertain instead of aborting under load.
-///
-/// Fails with [`CodError::BudgetExhausted`] when the budget permits no
-/// samples at all.
-#[allow(clippy::too_many_arguments)] // the paper's query signature plus the budget
-pub fn compressed_cod_budgeted<R: Rng>(
-    g: &Csr,
-    model: Model,
-    chain: &(impl Chain + Sync),
-    q: NodeId,
-    k: usize,
-    theta_per_node: usize,
-    budget: Option<usize>,
-    rng: &mut R,
-) -> CodResult<CodOutcome> {
-    compressed_cod_with(
-        g,
-        model,
-        chain,
-        q,
-        k,
-        theta_per_node,
-        budget,
-        SeedPolicy::Stream(rng),
-        None,
-    )
+impl<'a, C> CodRequest<'a, C> {
+    /// A request without a sample budget.
+    pub fn new(g: &'a Csr, model: Model, chain: &'a C, q: NodeId, k: usize, theta: usize) -> Self {
+        CodRequest {
+            g,
+            model,
+            chain,
+            q,
+            k,
+            theta,
+            budget: None,
+        }
+    }
 }
 
-/// The single compressed-COD driver every entry point funnels into:
-/// Algorithm 1 with randomness per `policy` and an optional reusable
-/// [`QueryScratch`] workspace.
-///
-/// The drawn samples — and therefore the outcome — depend only on
-/// `(g, model, chain, q, k, θ, budget, policy)`. Neither the workspace nor
-/// the resolved thread count can change a single bit of the result:
-/// [`SeedPolicy::Stream`] replays the legacy caller-RNG stream,
-/// [`SeedPolicy::PerIndex`] derives sample `i` from index `i` alone and
-/// merges shards by commutative count addition.
-#[allow(clippy::too_many_arguments)] // the paper's query signature plus budget, policy, workspace
-pub fn compressed_cod_with<R: Rng>(
-    g: &Csr,
-    model: Model,
-    chain: &(impl Chain + Sync),
-    q: NodeId,
-    k: usize,
-    theta_per_node: usize,
-    budget: Option<usize>,
-    policy: SeedPolicy<'_, R>,
-    scratch: Option<&mut QueryScratch>,
-) -> CodResult<CodOutcome> {
-    compressed_cod_governed(
-        g,
-        model,
-        chain,
-        q,
-        k,
-        theta_per_node,
-        budget,
-        policy,
-        scratch,
-        None,
-    )
+/// Where stage 1's RR graphs come from.
+#[derive(Clone, Copy)]
+pub enum Samples<'a> {
+    /// Draw `Θ` fresh RR graphs: sample `i` takes its source and its graph
+    /// entirely from `SeedSequence::new(seed).rng_for(i)`, so the outcome
+    /// is a pure function of `(request, seed)` — identical at every
+    /// thread count of `par` and across runs.
+    Fresh {
+        /// The master seed of the per-index seed sequence.
+        seed: u64,
+        /// Fan-out policy for the sampling loop.
+        par: Parallelism,
+    },
+    /// Fold the first `Θ` RR graphs of a shared pool entry (the
+    /// cross-query cache of [`crate::pool`]), growing it first if it holds
+    /// fewer. The budget charges only the *new* draws — pooled samples are
+    /// already paid for ([`resolve_theta_pooled`]). Pool samples are derived
+    /// from the cache key, so the outcome is identical whether the pool was
+    /// warm, cold or grown in several top-ups, at every thread count.
+    Pooled {
+        /// The pool whose universe matches the chain's.
+        entry: &'a RrPoolEntry,
+        /// Fan-out policy for pool growth.
+        par: Parallelism,
+    },
 }
 
 /// Stage-1 draws between governance checkpoints. Polls are this coarse so
@@ -169,177 +150,82 @@ pub fn compressed_cod_with<R: Rng>(
 /// in `bench_report`), yet a fired token stops within one batch.
 const CHECK_EVERY: usize = 64;
 
-/// [`compressed_cod_with`] under cooperative governance: every
-/// `CHECK_EVERY` draws stage 1 hits the `SampleBatch` failpoint, charges
-/// the RR edges traversed since the last poll (and an estimate of live
-/// stage-1 memory) against `cancel`'s caps, and — once the token fires —
-/// stops at the batch boundary. The partial buckets still run stage 2, so
-/// the caller gets a best-effort outcome with [`CodOutcome::cancelled`]
-/// (and `truncated`) set and `theta` reporting the draws that completed;
-/// a token that fires before the first draw yields an empty outcome
-/// with the flags set.
+/// Runs compressed COD evaluation (Algorithm 1) for `req` over `samples`,
+/// with an optional reusable [`QueryScratch`] workspace and cooperative
+/// governance.
 ///
-/// Checkpoints never touch the RNG, so with `cancel: None` — or a token
-/// that never fires — the outcome is bit-identical to the ungoverned path.
-#[allow(clippy::too_many_arguments)] // the paper's query signature plus budget, policy, workspace, token
-pub fn compressed_cod_governed<R: Rng>(
-    g: &Csr,
-    model: Model,
-    chain: &(impl Chain + Sync),
-    q: NodeId,
-    k: usize,
-    theta_per_node: usize,
-    budget: Option<usize>,
-    policy: SeedPolicy<'_, R>,
+/// Neither the workspace nor the resolved thread count can change a single
+/// bit of the result: per-index samples merge by commutative count
+/// addition. Under `cancel`, every `CHECK_EVERY` draws stage 1 hits the
+/// `SampleBatch` (or `PoolFold`) failpoint, charges the RR edges traversed
+/// since the last poll and an estimate of live stage-1 memory against the
+/// token's caps, and — once the token fires — stops at the batch boundary.
+/// The partial buckets still run stage 2, so the caller gets a best-effort
+/// outcome with [`CodOutcome::cancelled`] (and `truncated`) set and `theta`
+/// reporting the draws that completed; a token that fires before the first
+/// draw yields an empty outcome with the flags set. Checkpoints never touch
+/// an RNG, so with `cancel: None` — or a token that never fires — the
+/// outcome is bit-identical to the ungoverned path.
+///
+/// Fails with [`CodError::InvalidQuery`] when `k == 0` or `q` is not in the
+/// chain's deepest community, and with [`CodError::BudgetExhausted`] when
+/// the budget permits no new samples at all.
+pub fn compressed_cod<C: Chain>(
+    req: &CodRequest<'_, C>,
+    samples: Samples<'_>,
     scratch: Option<&mut QueryScratch>,
     cancel: Option<&CancelToken>,
 ) -> CodResult<CodOutcome> {
+    let CodRequest {
+        g,
+        model,
+        chain,
+        q,
+        k,
+        theta: theta_per_node,
+        budget,
+    } = *req;
     if !validate_chain_query(chain, q, k)? {
         return Ok(CodOutcome::empty());
     }
-    let m = chain.len();
     let universe = chain.universe();
-    let restricted = universe.len() < g.num_nodes();
-    let (theta, truncated) = resolve_theta(theta_per_node, universe.len(), budget)?;
-
     let mut own = QueryScratch::new();
     let ws = scratch.unwrap_or(&mut own);
-    ws.prepare(chain, &universe);
 
-    // --- Stage 1: shared sample generation + HFS ------------------------
+    // --- Stage 1: shared sample generation (or pool fold) + HFS ---------
     // Phase timers are read outside the per-sample loop, and counters are
-    // plain integer adds that never touch `rng` — telemetry observes the
+    // plain integer adds that never touch an RNG — telemetry observes the
     // evaluation without perturbing the drawn samples. Governance polls
     // are integer/atomic reads at batch boundaries, neutral the same way.
-    let t_sample = ws.sink.timing().then(Instant::now);
-    let mut completed = 0usize;
-    match policy {
-        SeedPolicy::Stream(rng) => {
-            let mut sampler = RrSampler::with_scratch(g, model, std::mem::take(&mut ws.sampler));
-            let before = sampler.stats();
-            let mut charged = before;
-            for i in 0..theta {
-                if i % CHECK_EVERY == 0 {
-                    failpoint::hit(failpoint::Site::SampleBatch, cancel);
-                    if let Some(tok) = cancel {
-                        let now = sampler.stats();
-                        tok.charge_rr_edges(now.delta_since(charged).edges);
-                        charged = now;
-                        tok.charge_memory(stage1_memory_estimate(&ws.levels, &ws.hfs));
-                        if tok.should_stop() {
-                            break;
-                        }
-                    }
-                }
-                draw_and_record(
-                    &mut sampler,
-                    &universe,
-                    restricted,
-                    &ws.levels,
-                    rng,
-                    &mut ws.hfs,
-                    &mut ws.sink,
-                    cancel,
-                );
-                completed += 1;
-            }
-            let drawn = sampler.stats().delta_since(before);
-            ws.sink.add(Counter::RrGraphsSampled, drawn.graphs);
-            ws.sink.add(Counter::RrEdgesTraversed, drawn.edges);
-            ws.sampler = sampler.into_scratch();
+    let (theta, truncated, completed, t_sample) = match samples {
+        Samples::Fresh { seed, par } => {
+            let (theta, truncated) = resolve_theta(theta_per_node, universe.len(), budget)?;
+            ws.prepare(chain, &universe);
+            let t_sample = ws.sink.timing().then(Instant::now);
+            let seeds = SeedSequence::new(seed);
+            let completed = sample_fresh(g, model, &universe, seeds, par, theta, ws, cancel);
+            (theta, truncated, completed, t_sample)
         }
-        SeedPolicy::PerIndex { seeds, par } if par.thread_count() <= 1 => {
-            let mut sampler = RrSampler::with_scratch(g, model, std::mem::take(&mut ws.sampler));
-            let before = sampler.stats();
-            let mut charged = before;
-            for i in 0..theta {
-                if i % CHECK_EVERY == 0 {
-                    failpoint::hit(failpoint::Site::SampleBatch, cancel);
-                    if let Some(tok) = cancel {
-                        let now = sampler.stats();
-                        tok.charge_rr_edges(now.delta_since(charged).edges);
-                        charged = now;
-                        tok.charge_memory(stage1_memory_estimate(&ws.levels, &ws.hfs));
-                        if tok.should_stop() {
-                            break;
-                        }
-                    }
-                }
-                let mut rng = seeds.rng_for(i as u64);
-                draw_and_record(
-                    &mut sampler,
-                    &universe,
-                    restricted,
-                    &ws.levels,
-                    &mut rng,
-                    &mut ws.hfs,
-                    &mut ws.sink,
-                    cancel,
-                );
-                completed += 1;
+        Samples::Pooled { entry, par } => {
+            debug_assert_eq!(
+                entry.universe(),
+                &universe[..],
+                "pool key does not match the chain's universe"
+            );
+            let (theta, truncated) =
+                resolve_theta_pooled(theta_per_node, universe.len(), budget, entry.len())?;
+            let (view, grown) = entry.ensure(g, model, theta, par, cancel);
+            ws.sink.add(Counter::RrGraphsSampled, grown.graphs);
+            ws.sink.add(Counter::RrEdgesTraversed, grown.edges);
+            if grown.topped_up {
+                ws.sink.incr(Counter::PoolTopups);
             }
-            let drawn = sampler.stats().delta_since(before);
-            ws.sink.add(Counter::RrGraphsSampled, drawn.graphs);
-            ws.sink.add(Counter::RrEdgesTraversed, drawn.edges);
-            ws.sampler = sampler.into_scratch();
+            ws.prepare(chain, &universe);
+            let t_sample = ws.sink.timing().then(Instant::now);
+            let completed = fold_pool(&view, theta, ws, cancel);
+            (theta, truncated, completed, t_sample)
         }
-        SeedPolicy::PerIndex { seeds, par } => {
-            // Each worker samples a contiguous index range into its own
-            // counter table. Which range a sample lands in only decides
-            // *where* its counts accumulate; count addition commutes, so
-            // the merged table is independent of the chunking. Each
-            // shard also carries its own counter sink, merged the same way.
-            // Workers poll the shared token at the same batch cadence; a
-            // fired token stops every shard at its next boundary, and the
-            // per-shard completion counts sum to the draws actually made.
-            let levels = &ws.levels;
-            let shards = par_ranges(theta, par.thread_count(), |range| {
-                let mut sampler = RrSampler::new(g, model);
-                let mut hfs = HfsScratch::default();
-                hfs.prepare(m, levels.cells());
-                let mut sink = TraceSink::new(false);
-                let mut charged = sampler.stats();
-                let mut done = 0usize;
-                for (off, i) in range.enumerate() {
-                    if off % CHECK_EVERY == 0 {
-                        failpoint::hit(failpoint::Site::SampleBatch, cancel);
-                        if let Some(tok) = cancel {
-                            let now = sampler.stats();
-                            tok.charge_rr_edges(now.delta_since(charged).edges);
-                            charged = now;
-                            tok.charge_memory(stage1_memory_estimate(levels, &hfs));
-                            if tok.should_stop() {
-                                break;
-                            }
-                        }
-                    }
-                    let mut rng = seeds.rng_for(i as u64);
-                    draw_and_record(
-                        &mut sampler,
-                        &universe,
-                        restricted,
-                        levels,
-                        &mut rng,
-                        &mut hfs,
-                        &mut sink,
-                        cancel,
-                    );
-                    done += 1;
-                }
-                let drawn = sampler.stats();
-                sink.add(Counter::RrGraphsSampled, drawn.graphs);
-                sink.add(Counter::RrEdgesTraversed, drawn.edges);
-                (hfs.counts, sink, done)
-            });
-            for (counts, sink, done) in shards {
-                for (total, c) in ws.hfs.counts.iter_mut().zip(counts) {
-                    *total += c;
-                }
-                ws.sink.merge(&sink);
-                completed += done;
-            }
-        }
-    }
+    };
     ws.levels.drain_into(&ws.hfs.counts, &mut ws.buckets);
     if let Some(t0) = t_sample {
         ws.sink
@@ -375,6 +261,154 @@ pub fn compressed_cod_governed<R: Rng>(
     Ok(out)
 }
 
+/// Stage 1 on fresh samples: draws `theta` RR graphs into the workspace's
+/// counter table and returns how many completed before `cancel` fired.
+///
+/// A single thread reuses the workspace's sampler scratch. More threads
+/// each sample a contiguous index range into their own counter table.
+/// Which range a sample lands in only decides *where* its counts
+/// accumulate; count addition commutes, so the merged table is independent
+/// of the chunking. Each shard also carries its own counter sink, merged
+/// the same way. Workers poll the shared token at the same batch cadence; a
+/// fired token stops every shard at its next boundary, and the per-shard
+/// completion counts sum to the draws actually made.
+#[allow(clippy::too_many_arguments)] // stage-1 inputs plus workspace and token
+fn sample_fresh(
+    g: &Csr,
+    model: Model,
+    universe: &[NodeId],
+    seeds: SeedSequence,
+    par: Parallelism,
+    theta: usize,
+    ws: &mut QueryScratch,
+    cancel: Option<&CancelToken>,
+) -> usize {
+    let restricted = universe.len() < g.num_nodes();
+    if par.thread_count() <= 1 {
+        let mut sampler = RrSampler::with_scratch(g, model, std::mem::take(&mut ws.sampler));
+        let done = sample_range(
+            &mut sampler,
+            0..theta,
+            seeds,
+            universe,
+            restricted,
+            &ws.levels,
+            &mut ws.hfs,
+            &mut ws.sink,
+            cancel,
+        );
+        ws.sampler = sampler.into_scratch();
+        return done;
+    }
+    let levels = &ws.levels;
+    let shards = par_ranges(theta, par.thread_count(), |range| {
+        let mut sampler = RrSampler::new(g, model);
+        let mut hfs = HfsScratch::default();
+        hfs.prepare(levels.depth(), levels.cells());
+        let mut sink = TraceSink::new(false);
+        let done = sample_range(
+            &mut sampler,
+            range,
+            seeds,
+            universe,
+            restricted,
+            levels,
+            &mut hfs,
+            &mut sink,
+            cancel,
+        );
+        (hfs.counts, sink, done)
+    });
+    let mut completed = 0;
+    for (counts, sink, done) in shards {
+        for (total, c) in ws.hfs.counts.iter_mut().zip(counts) {
+            *total += c;
+        }
+        ws.sink.merge(&sink);
+        completed += done;
+    }
+    completed
+}
+
+/// Draws the samples of one index `range`, polling `cancel` every
+/// `CHECK_EVERY` draws, and charges the sampling effort to `sink`.
+/// Returns the draws that completed.
+#[allow(clippy::too_many_arguments)] // private loop shared by the one-thread and sharded paths
+fn sample_range(
+    sampler: &mut RrSampler<'_>,
+    range: Range<usize>,
+    seeds: SeedSequence,
+    universe: &[NodeId],
+    restricted: bool,
+    levels: &LevelTable,
+    hfs: &mut HfsScratch,
+    sink: &mut TraceSink,
+    cancel: Option<&CancelToken>,
+) -> usize {
+    let before = sampler.stats();
+    let mut charged = before;
+    let mut done = 0;
+    for (off, i) in range.enumerate() {
+        if off % CHECK_EVERY == 0 {
+            failpoint::hit(failpoint::Site::SampleBatch, cancel);
+            if let Some(tok) = cancel {
+                let now = sampler.stats();
+                tok.charge_rr_edges(now.delta_since(charged).edges);
+                charged = now;
+                tok.charge_memory(stage1_memory_estimate(levels, hfs));
+                if tok.should_stop() {
+                    break;
+                }
+            }
+        }
+        let mut rng = seeds.rng_for(i as u64);
+        draw_and_record(
+            sampler, universe, restricted, levels, &mut rng, hfs, sink, cancel,
+        );
+        done += 1;
+    }
+    let drawn = sampler.stats().delta_since(before);
+    sink.add(Counter::RrGraphsSampled, drawn.graphs);
+    sink.add(Counter::RrEdgesTraversed, drawn.edges);
+    done
+}
+
+/// Stage 1 over an already-sampled pool view: folds `min(theta,
+/// view.len())` graphs through HFS and returns how many completed. Fewer
+/// than `theta` (a growth cancelled mid-way, or a fold stopped at a batch
+/// boundary) flags the outcome cancelled and best-effort, mirroring the
+/// sampling path.
+fn fold_pool(
+    view: &PoolView,
+    theta: usize,
+    ws: &mut QueryScratch,
+    cancel: Option<&CancelToken>,
+) -> usize {
+    let mut completed = 0;
+    for (i, rr) in view.iter().take(theta).enumerate() {
+        if i % CHECK_EVERY == 0 {
+            failpoint::hit(failpoint::Site::PoolFold, cancel);
+            if let Some(tok) = cancel {
+                tok.charge_memory(stage1_memory_estimate(&ws.levels, &ws.hfs));
+                if tok.should_stop() {
+                    break;
+                }
+            }
+        }
+        let ls = ws.levels.level_of(rr.source());
+        if ls >= ws.levels.depth() {
+            // Source outside every chain community: the induced RR graph
+            // is empty (Example 3) — nothing to record, but the sample
+            // still counts toward Θ, exactly like the sampling path.
+            ws.sink.incr(Counter::HfsNodesPruned);
+        } else {
+            hfs_record(rr, ls, &ws.levels, &mut ws.hfs, &mut ws.sink, cancel);
+        }
+        completed += 1;
+    }
+    completed
+}
+
 /// Approximate live bytes of stage-1 state for [`CancelToken`] memory
 /// accounting: the dense level and counter tables, the HFS scratch
 /// capacities, and the bucket entries the fold will materialize for
@@ -390,9 +424,9 @@ fn stage1_memory_estimate(levels: &LevelTable, hfs: &HfsScratch) -> usize {
 /// The shared per-sample body of stage 1: draw a source, generate its RR
 /// graph into the sampler's scratch arena (restricted to the universe
 /// when the chain doesn't span the graph), and fold it into the counter
-/// table via HFS. The seed policy only decides which `rng` arrives here.
+/// table via HFS.
 #[inline]
-#[allow(clippy::too_many_arguments)] // private loop body shared by three skeletons
+#[allow(clippy::too_many_arguments)] // private loop body of `sample_range`
 fn draw_and_record<R: Rng>(
     sampler: &mut RrSampler<'_>,
     universe: &[NodeId],
@@ -417,56 +451,6 @@ fn draw_and_record<R: Rng>(
         sampler.sample_view(s, rng, |_| true)
     };
     hfs_record(rr, ls, levels, hfs, sink, cancel);
-}
-
-/// [`compressed_cod`] with per-index seed derivation and parallel sample
-/// generation: sample `i` draws its source and RR graph entirely from the
-/// RNG derived for index `i`, so the outcome is a pure function of
-/// `(g, model, chain, q, k, θ, seed)` — bit-identical for every thread
-/// count and across repeated runs.
-#[allow(clippy::too_many_arguments)] // the paper's query signature plus seed and execution policy
-pub fn compressed_cod_seeded(
-    g: &Csr,
-    model: Model,
-    chain: &(impl Chain + Sync),
-    q: NodeId,
-    k: usize,
-    theta_per_node: usize,
-    seed: u64,
-    par: Parallelism,
-) -> CodResult<CodOutcome> {
-    compressed_cod_budgeted_seeded(g, model, chain, q, k, theta_per_node, None, seed, par)
-}
-
-/// [`compressed_cod_budgeted`] with per-index seed derivation and parallel
-/// sample generation (see [`compressed_cod_seeded`] for the determinism
-/// contract).
-#[allow(clippy::too_many_arguments)] // the paper's query signature plus budget and execution policy
-pub fn compressed_cod_budgeted_seeded(
-    g: &Csr,
-    model: Model,
-    chain: &(impl Chain + Sync),
-    q: NodeId,
-    k: usize,
-    theta_per_node: usize,
-    budget: Option<usize>,
-    seed: u64,
-    par: Parallelism,
-) -> CodResult<CodOutcome> {
-    compressed_cod_with::<SmallRng>(
-        g,
-        model,
-        chain,
-        q,
-        k,
-        theta_per_node,
-        budget,
-        SeedPolicy::PerIndex {
-            seeds: SeedSequence::new(seed),
-            par,
-        },
-        None,
-    )
 }
 
 /// Shared argument validation for the evaluation entry points. `Ok(false)`
@@ -748,196 +732,7 @@ pub(crate) fn incremental_top_k_with(
     }
 }
 
-/// Adaptive-θ compressed COD evaluation, in the spirit of the
-/// sample-sizing loops of the RR-set IM literature the paper builds on
-/// (\[21–24\]): start from `θ_0` RR graphs per node and double until no
-/// level's top-k verdict is *uncertain* (flippable by a ±2σ count
-/// perturbation; see [`CodOutcome::uncertain`]) or `θ_max` is reached.
-///
-/// Queries with a clear influence gap stop at `θ_0`; borderline queries —
-/// exactly the ones the paper's Fig. 8 shows suffering false exclusions —
-/// automatically get more samples. Returns the final outcome, whose
-/// `theta` field reports the total samples actually drawn in the last
-/// round.
-#[allow(clippy::too_many_arguments)] // the paper's query signature plus the (θ_0, θ_max) budget
-pub fn compressed_cod_adaptive<R: Rng>(
-    g: &Csr,
-    model: Model,
-    chain: &(impl Chain + Sync),
-    q: NodeId,
-    k: usize,
-    theta_start: usize,
-    theta_max: usize,
-    rng: &mut R,
-) -> CodResult<CodOutcome> {
-    let mut theta = theta_start.max(1);
-    loop {
-        let out = compressed_cod(g, model, chain, q, k, theta, rng)?;
-        let settled = !out.uncertain.iter().any(|&u| u);
-        if settled || theta * 2 > theta_max {
-            return Ok(out);
-        }
-        theta *= 2;
-    }
-}
-
-/// [`compressed_cod_adaptive`] with per-index seed derivation and parallel
-/// sample generation. Each doubling round draws its samples from an
-/// independent child seed sequence, so the escalation path — and therefore
-/// the final outcome — is a pure function of `(inputs, seed)`, identical
-/// for every thread count.
-#[allow(clippy::too_many_arguments)] // the paper's query signature plus the (θ_0, θ_max) budget and policy
-pub fn compressed_cod_adaptive_seeded(
-    g: &Csr,
-    model: Model,
-    chain: &(impl Chain + Sync),
-    q: NodeId,
-    k: usize,
-    theta_start: usize,
-    theta_max: usize,
-    seed: u64,
-    par: Parallelism,
-) -> CodResult<CodOutcome> {
-    let seq = SeedSequence::new(seed);
-    let mut theta = theta_start.max(1);
-    let mut round = 0u64;
-    loop {
-        let out =
-            compressed_cod_seeded(g, model, chain, q, k, theta, seq.child(round).master(), par)?;
-        let settled = !out.uncertain.iter().any(|&u| u);
-        if settled || theta * 2 > theta_max {
-            return Ok(out);
-        }
-        theta *= 2;
-        round += 1;
-    }
-}
-
-/// Compressed COD evaluation over a shared RR pool (the cross-query cache
-/// of [`crate::pool`]): stage 1 *folds* pooled RR graphs through HFS
-/// instead of sampling, growing the pool first if it holds fewer than the
-/// resolved `Θ` samples. The sample budget charges only the *new* draws —
-/// pooled samples are already paid for ([`resolve_theta_pooled`]).
-///
-/// Because pool samples are derived from the cache key (not a caller RNG),
-/// the outcome is a pure function of `(g, model, chain, q, k, θ, budget)`
-/// for a given key — identical whether the pool was warm, cold, or grown
-/// in several top-ups, at every thread count. It intentionally differs
-/// from the unpooled paths' outcomes bit-wise (their RNG streams skip
-/// graph generation for out-of-chain sources; a shared pool cannot), which
-/// is why pooling is opt-in per engine.
-#[allow(clippy::too_many_arguments)] // the paper's query signature plus budget, pool, workspace, token
-pub fn compressed_cod_pooled(
-    g: &Csr,
-    model: Model,
-    chain: &impl Chain,
-    q: NodeId,
-    k: usize,
-    theta_per_node: usize,
-    budget: Option<usize>,
-    pool: &RrPoolEntry,
-    par: Parallelism,
-    scratch: Option<&mut QueryScratch>,
-    cancel: Option<&CancelToken>,
-) -> CodResult<CodOutcome> {
-    if !validate_chain_query(chain, q, k)? {
-        return Ok(CodOutcome::empty());
-    }
-    let universe = chain.universe();
-    debug_assert_eq!(
-        pool.universe(),
-        &universe[..],
-        "pool key does not match the chain's universe"
-    );
-    let (theta, truncated) =
-        resolve_theta_pooled(theta_per_node, universe.len(), budget, pool.len())?;
-    let mut own = QueryScratch::new();
-    let ws = scratch.unwrap_or(&mut own);
-    let (view, grown) = pool.ensure(g, model, theta, par, cancel);
-    ws.sink.add(Counter::RrGraphsSampled, grown.graphs);
-    ws.sink.add(Counter::RrEdgesTraversed, grown.edges);
-    if grown.topped_up {
-        ws.sink.incr(Counter::PoolTopups);
-    }
-    pooled_fold(chain, q, k, theta, truncated, &universe, &view, ws, cancel)
-}
-
-/// Stage 1 over an already-sampled pool view plus stage 2: the pooled
-/// counterpart of [`compressed_cod_governed`]'s loop, minus the sampling.
-/// Folds `min(theta, view.len())` graphs; fewer than `theta` (a growth
-/// cancelled mid-way, or a fold stopped at a batch boundary) flags the
-/// outcome cancelled and best-effort, mirroring the sampling path.
-#[allow(clippy::too_many_arguments)] // private driver shared by the fixed-θ and adaptive paths
-fn pooled_fold(
-    chain: &impl Chain,
-    q: NodeId,
-    k: usize,
-    theta: usize,
-    truncated: bool,
-    universe: &[NodeId],
-    view: &PoolView,
-    ws: &mut QueryScratch,
-    cancel: Option<&CancelToken>,
-) -> CodResult<CodOutcome> {
-    let m = chain.len();
-    let universe_len = universe.len();
-    ws.prepare(chain, universe);
-    let t_sample = ws.sink.timing().then(Instant::now);
-    let take = theta.min(view.len());
-    let mut completed = 0usize;
-    for (i, rr) in view.iter().take(take).enumerate() {
-        if i % CHECK_EVERY == 0 {
-            failpoint::hit(failpoint::Site::PoolFold, cancel);
-            if let Some(tok) = cancel {
-                tok.charge_memory(stage1_memory_estimate(&ws.levels, &ws.hfs));
-                if tok.should_stop() {
-                    break;
-                }
-            }
-        }
-        let ls = ws.levels.level_of(rr.source());
-        if ls >= m {
-            // Source outside every chain community: the induced RR graph
-            // is empty (Example 3) — nothing to record, but the sample
-            // still counts toward Θ, exactly like the sampling path.
-            ws.sink.incr(Counter::HfsNodesPruned);
-        } else {
-            hfs_record(rr, ls, &ws.levels, &mut ws.hfs, &mut ws.sink, cancel);
-        }
-        completed += 1;
-    }
-    ws.levels.drain_into(&ws.hfs.counts, &mut ws.buckets);
-    if let Some(t0) = t_sample {
-        ws.sink
-            .add_nanos(Phase::Sample, t0.elapsed().as_nanos() as u64);
-    }
-    let cancelled = completed < theta;
-    if cancelled && completed == 0 {
-        let mut out = CodOutcome::empty();
-        out.truncated = true;
-        out.cancelled = true;
-        return Ok(out);
-    }
-    let t_topk = ws.sink.timing().then(Instant::now);
-    let mut out = incremental_top_k_with(
-        &ws.buckets,
-        q,
-        k,
-        completed,
-        universe_len,
-        &mut ws.topk,
-        &mut ws.sink,
-    );
-    if let Some(t0) = t_topk {
-        ws.sink
-            .add_nanos(Phase::TopK, t0.elapsed().as_nanos() as u64);
-    }
-    out.truncated = truncated || cancelled;
-    out.cancelled = cancelled;
-    Ok(out)
-}
-
-/// How an adaptive pooled evaluation escalated and where it stopped.
+/// How an adaptive evaluation escalated and where it stopped.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdaptiveReport {
     /// Doubling rounds executed (≥ 1).
@@ -987,60 +782,61 @@ fn outcome_half_width(out: &CodOutcome, universe_len: usize, delta: f64) -> f64 
     influence_half_width(out.sigma_q[h] / universe_len as f64, out.theta, delta)
 }
 
-/// Confidence-bound adaptive evaluation over a shared pool: grow the pool
-/// in doubling rounds `θ_0, 2θ_0, …` and stop as soon as **(a)** no
-/// level's top-k verdict is flippable by sampling noise
-/// ([`CodOutcome::uncertain`]) **and (b)** the confidence half-width on
-/// the query's influence estimate is within `epsilon` at confidence
-/// `1 − delta` ([`influence_half_width`]) — instead of running a fixed
-/// `θ`. Rounds are *prefixes of the same pool*: round `r` re-folds the
-/// samples round `r−1` folded plus the top-up, so escalation never
+/// Adaptive-θ compressed COD evaluation, in the spirit of the
+/// sample-sizing loops of the RR-set IM literature the paper builds on
+/// (\[21–24\]): evaluate at `θ_0 = req.theta`, `2θ_0`, … and stop as soon as
+/// **(a)** no level's top-k verdict is flippable by sampling noise
+/// ([`CodOutcome::uncertain`]) **and (b)** the confidence half-width on the
+/// query's influence estimate is within `epsilon` at confidence `1 − delta`
+/// ([`influence_half_width`]), or once doubling would pass `theta_max` or
+/// an evaluation was cancelled. Pass `epsilon = f64::INFINITY` to stop on
+/// verdict stability alone.
+///
+/// Queries with a clear influence gap stop at `θ_0`; borderline queries —
+/// exactly the ones the paper's Fig. 8 shows suffering false exclusions —
+/// automatically get more samples. Over [`Samples::Fresh`] round `r` draws
+/// from the independent child sequence `SeedSequence::new(seed).child(r)`,
+/// so the escalation path is a pure function of `(request, seed)`. Over
+/// [`Samples::Pooled`] rounds are *prefixes of the same pool*: round `r`
+/// re-folds what round `r−1` folded plus the top-up, so escalation never
 /// resamples and later queries inherit the grown pool.
 ///
 /// Returns the final outcome plus an [`AdaptiveReport`] describing the
 /// escalation. The statistical-equivalence harness in
 /// `tests/pool_adaptive.rs` checks the reported bound against a 4×
 /// fixed-θ reference across a query grid.
-#[allow(clippy::too_many_arguments)] // the paper's query signature plus (θ_0, θ_max, ε, δ) and the pool
-pub fn compressed_cod_adaptive_pooled(
-    g: &Csr,
-    model: Model,
-    chain: &impl Chain,
-    q: NodeId,
-    k: usize,
-    theta_start: usize,
+#[allow(clippy::too_many_arguments)] // the request plus (θ_max, ε, δ), workspace and token
+pub fn compressed_cod_adaptive<C: Chain>(
+    req: &CodRequest<'_, C>,
+    samples: Samples<'_>,
     theta_max: usize,
     epsilon: f64,
     delta: f64,
-    pool: &RrPoolEntry,
-    par: Parallelism,
     scratch: Option<&mut QueryScratch>,
     cancel: Option<&CancelToken>,
 ) -> CodResult<(CodOutcome, AdaptiveReport)> {
     let mut own = QueryScratch::new();
     let ws = scratch.unwrap_or(&mut own);
-    let universe_len = chain.universe().len();
-    let mut theta_pn = theta_start.max(1);
-    let theta_max_pn = theta_max.max(theta_pn);
+    let universe_len = req.chain.universe().len();
+    let mut round = CodRequest {
+        theta: req.theta.max(1),
+        ..*req
+    };
+    let theta_max = theta_max.max(round.theta);
     let mut rounds = 0usize;
     loop {
+        let round_samples = match samples {
+            Samples::Fresh { seed, par } => Samples::Fresh {
+                seed: SeedSequence::new(seed).child(rounds as u64).master(),
+                par,
+            },
+            pooled @ Samples::Pooled { .. } => pooled,
+        };
         rounds += 1;
-        let out = compressed_cod_pooled(
-            g,
-            model,
-            chain,
-            q,
-            k,
-            theta_pn,
-            None,
-            pool,
-            par,
-            Some(ws),
-            cancel,
-        )?;
+        let out = compressed_cod(&round, round_samples, Some(ws), cancel)?;
         let half_width = outcome_half_width(&out, universe_len, delta);
         let settled = !out.uncertain.iter().any(|&u| u) && half_width <= epsilon;
-        if settled || theta_pn * 2 > theta_max_pn || out.cancelled {
+        if settled || round.theta * 2 > theta_max || out.cancelled {
             let report = AdaptiveReport {
                 rounds,
                 theta: out.theta,
@@ -1050,7 +846,7 @@ pub fn compressed_cod_adaptive_pooled(
             };
             return Ok((out, report));
         }
-        theta_pn *= 2;
+        round.theta *= 2;
     }
 }
 
@@ -1170,6 +966,54 @@ mod tests {
     use cod_graph::GraphBuilder;
     use cod_hierarchy::{cluster_unweighted, Dendrogram, LcaIndex, Linkage};
 
+    /// Fixed-θ evaluation on fresh single-threaded samples.
+    #[allow(clippy::too_many_arguments)] // the request fields plus the seed
+    fn run(
+        g: &Csr,
+        chain: &impl Chain,
+        q: NodeId,
+        k: usize,
+        theta: usize,
+        budget: Option<usize>,
+        seed: u64,
+    ) -> CodResult<CodOutcome> {
+        let req = CodRequest {
+            g,
+            model: Model::WeightedCascade,
+            chain,
+            q,
+            k,
+            theta,
+            budget,
+        };
+        let par = Parallelism::Threads(1);
+        compressed_cod(&req, Samples::Fresh { seed, par }, None, None)
+    }
+
+    /// Adaptive evaluation on fresh samples, stopping on verdict stability.
+    fn run_adaptive(
+        g: &Csr,
+        chain: &impl Chain,
+        theta: usize,
+        theta_max: usize,
+        seed: u64,
+    ) -> CodOutcome {
+        let req = CodRequest {
+            g,
+            model: Model::WeightedCascade,
+            chain,
+            q: 0,
+            k: 1,
+            theta,
+            budget: None,
+        };
+        let par = Parallelism::Threads(1);
+        let fresh = Samples::Fresh { seed, par };
+        compressed_cod_adaptive(&req, fresh, theta_max, f64::INFINITY, 0.05, None, None)
+            .unwrap()
+            .0
+    }
+
     /// Two stars joined by a bridge: node 0 is the hub of a 5-star
     /// {0..5}, node 6 the hub of a 3-star {6..9}; bridge 5-6.
     fn two_stars() -> Csr {
@@ -1191,8 +1035,7 @@ mod tests {
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = DendroChain::new(&d, &lca, 0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let out = compressed_cod(&g, Model::WeightedCascade, &chain, 0, 1, 200, &mut rng).unwrap();
+        let out = run(&g, &chain, 0, 1, 200, None, 1).unwrap();
         // Node 0 dominates its star and the whole graph: the characteristic
         // community should be the top of the chain (or near it).
         let best = out.best_level.expect("hub must be top-1 somewhere");
@@ -1206,8 +1049,7 @@ mod tests {
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = DendroChain::new(&d, &lca, 9).unwrap();
-        let mut rng = SmallRng::seed_from_u64(2);
-        let out = compressed_cod(&g, Model::WeightedCascade, &chain, 9, 1, 400, &mut rng).unwrap();
+        let out = run(&g, &chain, 9, 1, 400, None, 2).unwrap();
         assert!(
             *out.ranks.last().unwrap() > 1,
             "a periphery leaf cannot be top-1 globally"
@@ -1227,8 +1069,7 @@ mod tests {
         let d = Dendrogram::from_merges(6, &merges);
         let lca = LcaIndex::new(&d);
         let chain = DendroChain::new(&d, &lca, 0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let out = compressed_cod(&g, Model::WeightedCascade, &chain, 0, 1, 300, &mut rng).unwrap();
+        let out = run(&g, &chain, 0, 1, 300, None, 3).unwrap();
         for (h, &r) in out.ranks.iter().enumerate() {
             assert_eq!(r, 1, "hub must rank 1 at level {h}");
         }
@@ -1242,8 +1083,7 @@ mod tests {
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = DendroChain::new(&d, &lca, 0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(4);
-        let out = compressed_cod(&g, Model::WeightedCascade, &chain, 0, 1, 500, &mut rng).unwrap();
+        let out = run(&g, &chain, 0, 1, 500, None, 4).unwrap();
         // σ is monotone along the chain for a fixed node (more reachable
         // sources in larger communities).
         for w in out.sigma_q.windows(2) {
@@ -1283,18 +1123,7 @@ mod tests {
         let d = Dendrogram::from_merges(6, &merges);
         let lca = LcaIndex::new(&d);
         let chain = DendroChain::new(&d, &lca, 0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(41);
-        let out = compressed_cod_adaptive(
-            &g,
-            Model::WeightedCascade,
-            &chain,
-            0,
-            1,
-            200,
-            3200,
-            &mut rng,
-        )
-        .unwrap();
+        let out = run_adaptive(&g, &chain, 200, 3200, 41);
         assert_eq!(out.theta, 200 * 6, "no escalation needed");
         assert_eq!(out.best_level, Some(chain.len() - 1));
     }
@@ -1312,10 +1141,7 @@ mod tests {
         let d = Dendrogram::from_merges(4, &merges);
         let lca = LcaIndex::new(&d);
         let chain = DendroChain::new(&d, &lca, 0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(42);
-        let out =
-            compressed_cod_adaptive(&g, Model::WeightedCascade, &chain, 0, 1, 2, 256, &mut rng)
-                .unwrap();
+        let out = run_adaptive(&g, &chain, 2, 256, 42);
         assert!(
             out.theta > 2 * 4,
             "ties must trigger escalation (theta {})",
@@ -1410,9 +1236,7 @@ mod tests {
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = DendroChain::new(&d, &lca, 0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(8);
-        let err =
-            compressed_cod(&g, Model::WeightedCascade, &chain, 0, 0, 10, &mut rng).unwrap_err();
+        let err = run(&g, &chain, 0, 0, 10, None, 8).unwrap_err();
         assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
     }
 
@@ -1423,33 +1247,12 @@ mod tests {
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = DendroChain::new(&d, &lca, 0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(9);
         // θ=100 per node would mean 1000 samples; a budget of 40 truncates.
-        let out = compressed_cod_budgeted(
-            &g,
-            Model::WeightedCascade,
-            &chain,
-            0,
-            1,
-            100,
-            Some(40),
-            &mut rng,
-        )
-        .unwrap();
+        let out = run(&g, &chain, 0, 1, 100, Some(40), 9).unwrap();
         assert!(out.truncated);
         assert_eq!(out.theta, 40);
         // A generous budget leaves the evaluation untouched.
-        let out = compressed_cod_budgeted(
-            &g,
-            Model::WeightedCascade,
-            &chain,
-            0,
-            1,
-            100,
-            Some(1_000_000),
-            &mut rng,
-        )
-        .unwrap();
+        let out = run(&g, &chain, 0, 1, 100, Some(1_000_000), 9).unwrap();
         assert!(!out.truncated);
         assert_eq!(out.theta, 1000);
     }
@@ -1461,18 +1264,7 @@ mod tests {
         let d = Dendrogram::from_merges(10, &merges);
         let lca = LcaIndex::new(&d);
         let chain = DendroChain::new(&d, &lca, 0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(10);
-        let err = compressed_cod_budgeted(
-            &g,
-            Model::WeightedCascade,
-            &chain,
-            0,
-            1,
-            100,
-            Some(0),
-            &mut rng,
-        )
-        .unwrap_err();
+        let err = run(&g, &chain, 0, 1, 100, Some(0), 10).unwrap_err();
         assert!(
             matches!(err, CodError::BudgetExhausted { budget: 0, .. }),
             "{err}"
@@ -1485,8 +1277,7 @@ mod tests {
         let d = Dendrogram::singleton();
         let lca = LcaIndex::new(&d);
         let chain = DendroChain::new(&d, &lca, 0).unwrap();
-        let mut rng = SmallRng::seed_from_u64(6);
-        let out = compressed_cod(&g, Model::WeightedCascade, &chain, 0, 1, 10, &mut rng).unwrap();
+        let out = run(&g, &chain, 0, 1, 10, None, 6).unwrap();
         assert!(out.best_level.is_none());
         assert!(out.ranks.is_empty());
     }

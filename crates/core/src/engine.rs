@@ -14,25 +14,22 @@
 //!    sampler stamps, HFS queues and top-k buffers are reused across
 //!    queries;
 //! 3. a **batch API** ([`CodEngine::query_batch`]) that plans queries
-//!    sequentially (preserving the caller-RNG draw order), groups pending
+//!    sequentially (preserving the master-seed draw order), groups pending
 //!    evaluations by `(method, attr)` and fans the groups out under the
 //!    configured [`Parallelism`] policy.
 //!
 //! # Determinism contract
 //!
-//! Engine answers are bit-identical to the legacy facade answers, single or
-//! batched, cold or warm cache, for every thread count — provided the
-//! config uses a seeded (non-[`Parallelism::Serial`]) policy. The plan pass
+//! Engine answers are bit-identical to the facade answers, single or
+//! batched, cold or warm cache, for every thread count. The plan pass
 //! replicates the facades' RNG discipline exactly: per query, in query
 //! order, exactly one `u64` master seed is drawn *iff* that query reaches
 //! compressed evaluation (index hits, empty chains and validation errors
 //! draw nothing), and the first CODL query triggers the one-time HIMOR
-//! build, consuming what [`crate::pipeline::Codl::new`] would. Each pending
-//! evaluation is then a pure function of its master seed (PR 2's
-//! [`SeedSequence`] contract), so the fan-out order cannot matter. Under
-//! [`Parallelism::Serial`] the batch degrades to sequential evaluation that
-//! streams the caller RNG — byte-compatible with a hand-written facade
-//! loop, at the cost of no cross-query parallelism.
+//! build, drawing the one seed [`crate::pipeline::Codl::new`] would. Each
+//! pending evaluation — and the index build — is then a pure function of
+//! its master seed (the [`SeedSequence`] contract), so neither the fan-out
+//! order nor the thread count can matter.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -40,12 +37,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use cod_graph::{AttrId, AttributedGraph, NodeId};
 use cod_hierarchy::{Hierarchy, VertexId};
-use cod_influence::{par_ranges, CancelToken, Parallelism, SeedPolicy, SeedSequence};
+use cod_influence::{par_ranges, CancelToken, Parallelism, SeedSequence};
 use rand::prelude::*;
 
 use crate::cache::{LocalRecluster, ReclusterCache};
 use crate::chain::{Chain, ComposedChain, DendroChain, SubgraphChain};
-use crate::compressed::{compressed_cod_governed, compressed_cod_pooled, CodOutcome};
+use crate::compressed::{compressed_cod, CodOutcome, CodRequest, Samples};
 use crate::error::{CodError, CodResult};
 use crate::failpoint;
 use crate::himor::HimorIndex;
@@ -217,8 +214,7 @@ fn build_chain<'a>(artifacts: &'a EvalArtifacts, q: NodeId) -> CodResult<AnyChai
 /// The outcome of the planning pass for one query.
 enum Plan {
     /// Settled without compressed evaluation: validation error, empty
-    /// chain, HIMOR index hit — or, under the serial policy, already
-    /// evaluated in plan order on the caller's RNG stream.
+    /// chain or HIMOR index hit.
     Done(CodResult<Option<CodAnswer>>),
     /// Needs compressed evaluation with the pre-drawn master seed.
     Pending {
@@ -265,8 +261,8 @@ const RETRY_AFTER_MAX_SHIFT: u32 = 6;
 /// The shared query-serving engine fronting all four COD variants.
 ///
 /// Construction is cheap: the base hierarchy `T` and the HIMOR index are
-/// built lazily on first need (the index build consumes the RNG of the
-/// query that triggers it, mirroring [`crate::pipeline::Codl::new`]).
+/// built lazily on first need (the index build draws its seed from the RNG
+/// of the query that triggers it, mirroring [`crate::pipeline::Codl::new`]).
 /// `&CodEngine` is `Sync`; queries can be served from multiple threads.
 pub struct CodEngine {
     g: Arc<AttributedGraph>,
@@ -496,9 +492,7 @@ impl CodEngine {
     }
 
     /// The HIMOR index, building it on first call. The build consumes RNG
-    /// exactly like [`crate::pipeline::Codl::new`]: one `u64` master seed
-    /// under a seeded policy, the full sampling stream under
-    /// [`Parallelism::Serial`].
+    /// exactly like [`crate::pipeline::Codl::new`]: one `u64` master seed.
     pub fn ensure_himor<R: Rng>(&self, rng: &mut R) -> Arc<HimorIndex> {
         match self.ensure_himor_governed(rng, None) {
             Some(ix) => ix,
@@ -522,30 +516,16 @@ impl CodEngine {
         }
         let base = self.base_hierarchy();
         failpoint::hit(failpoint::Site::CacheBuild, cancel);
-        let built = if self.cfg.parallelism.is_seeded() {
-            HimorIndex::build_seeded_governed(
-                self.g.csr(),
-                self.cfg.model,
-                &base.dendro,
-                &base.lca,
-                self.cfg.theta,
-                rng.next_u64(),
-                self.cfg.parallelism,
-                cancel,
-            )?
-        } else {
-            // The serial stream build is the legacy path: interrupting it
-            // would desync the caller RNG anyway, so it runs ungoverned
-            // and the token (if any) is observed at evaluation instead.
-            HimorIndex::build(
-                self.g.csr(),
-                self.cfg.model,
-                &base.dendro,
-                &base.lca,
-                self.cfg.theta,
-                rng,
-            )
-        };
+        let built = HimorIndex::build(
+            self.g.csr(),
+            self.cfg.model,
+            &base.dendro,
+            &base.lca,
+            self.cfg.theta,
+            rng.next_u64(),
+            self.cfg.parallelism,
+            cancel,
+        )?;
         Some(self.index.get_or_init(|| Arc::new(built)).clone())
     }
 
@@ -1050,10 +1030,9 @@ impl CodEngine {
             Err(payload) => Plan::Done(Err(CodError::Internal(panic_message(payload)))),
         };
         if let Some(t0) = t0 {
-            // Plan time is everything not attributed to a build or (under
-            // the serial policy) evaluation phase during planning. The sink
-            // is fresh per query, so the already-recorded phase total is
-            // exactly that attributed share.
+            // Plan time is everything not attributed to a build phase
+            // during planning. The sink is fresh per query, so the
+            // already-recorded phase total is exactly that attributed share.
             let total = t0.elapsed().as_nanos() as u64;
             let attributed = sink.trace().phases.total();
             sink.add_nanos(Phase::Plan, total.saturating_sub(attributed));
@@ -1212,55 +1191,20 @@ impl CodEngine {
             return Ok(Plan::Done(Ok(None)));
         }
 
-        if let Some(seed) = derived {
-            // Position-derived seed: the caller fixed this query's master
-            // seed up front, so the Pending path is mandatory — streaming
-            // evaluation here would consume the build RNG and break the
-            // scatter-invariance contract of `query_batch_seeded`.
-            return Ok(Plan::Pending {
-                q,
-                attr,
-                seed,
-                artifacts,
-                cache: cache_outcome,
-                method,
-                token,
-                degraded,
-            });
-        }
-        if self.cfg.parallelism.is_seeded() {
-            // One master seed per evaluated query, drawn in query order.
-            Ok(Plan::Pending {
-                q,
-                attr,
-                seed: rng.next_u64(),
-                artifacts,
-                cache: cache_outcome,
-                method,
-                token,
-                degraded,
-            })
-        } else {
-            // Legacy serial stream: evaluate now, on the caller's RNG.
-            let mut ws = self.take_scratch();
-            ws.sink.reset(self.cfg.trace);
-            failpoint::hit(failpoint::Site::EvalWorker, token.as_ref());
-            let result = self.eval_stream(
-                q,
-                attr,
-                &artifacts,
-                cache_outcome,
-                rng,
-                &mut ws,
-                token.as_ref(),
-                degraded,
-                method,
-            );
-            let trace = ws.sink.take();
-            self.put_scratch(ws);
-            sink.absorb(&trace);
-            Ok(Plan::Done(result))
-        }
+        // One master seed per evaluated query: position-derived when the
+        // caller fixed it up front (`query_batch_seeded`, where drawing
+        // from the build RNG would break scatter invariance), else drawn
+        // in query order.
+        Ok(Plan::Pending {
+            q,
+            attr,
+            seed: derived.unwrap_or_else(|| rng.next_u64()),
+            artifacts,
+            cache: cache_outcome,
+            method,
+            token,
+            degraded,
+        })
     }
 
     /// CODL⁻'s artifact preparation (also the fallback rung when CODL's
@@ -1303,7 +1247,7 @@ impl CodEngine {
         }
     }
 
-    /// Seeded evaluation of one planned query.
+    /// Evaluation of one planned query on its master seed.
     #[allow(clippy::too_many_arguments)]
     fn eval(
         &self,
@@ -1322,67 +1266,41 @@ impl CodEngine {
         let out = if self.cfg.pool {
             self.eval_pooled(q, attr, &chain, par, ws, cancel)?
         } else {
-            compressed_cod_governed::<SmallRng>(
-                self.g.csr(),
-                self.cfg.model,
-                &chain,
-                q,
-                self.cfg.k,
-                self.cfg.theta,
-                self.cfg.budget,
-                SeedPolicy::PerIndex {
-                    seeds: SeedSequence::new(seed),
-                    par,
-                },
-                Some(ws),
-                cancel,
-            )?
+            let req = self.request(&chain, q, self.cfg.budget);
+            compressed_cod(&req, Samples::Fresh { seed, par }, Some(ws), cancel)?
         };
         // The fallback seed is a derived child stream: disjoint from the
         // primary evaluation's per-index streams by construction.
-        self.finish(q, &chain, out, cache, degraded, requested, ws, || {
-            SeedSequence::new(seed).child(1).master()
-        })
+        let fallback_seed = SeedSequence::new(seed).child(1).master();
+        self.finish(
+            q,
+            &chain,
+            out,
+            cache,
+            degraded,
+            requested,
+            ws,
+            fallback_seed,
+        )
     }
 
-    /// Serial (caller-RNG-stream) evaluation of one planned query.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_stream<R: Rng>(
-        &self,
+    /// The compressed-COD request for `q` over `chain` under this engine's
+    /// graph and configuration.
+    fn request<'a, C>(
+        &'a self,
+        chain: &'a C,
         q: NodeId,
-        attr: Option<AttrId>,
-        artifacts: &EvalArtifacts,
-        cache: Option<CacheOutcome>,
-        rng: &mut R,
-        ws: &mut QueryScratch,
-        cancel: Option<&CancelToken>,
-        degraded: Option<Method>,
-        requested: Method,
-    ) -> CodResult<Option<CodAnswer>> {
-        let chain = build_chain(artifacts, q)?;
-        let out = if self.cfg.pool {
-            // Pooled sampling is key-derived: the caller RNG is consumed
-            // only if the degradation ladder needs a fallback seed.
-            self.eval_pooled(q, attr, &chain, self.cfg.parallelism, ws, cancel)?
-        } else {
-            compressed_cod_governed(
-                self.g.csr(),
-                self.cfg.model,
-                &chain,
-                q,
-                self.cfg.k,
-                self.cfg.theta,
-                self.cfg.budget,
-                SeedPolicy::Stream(rng),
-                Some(ws),
-                cancel,
-            )?
-        };
-        // Only a cancelled evaluation draws the extra fallback seed, so
-        // the no-trigger caller-RNG stream is untouched.
-        self.finish(q, &chain, out, cache, degraded, requested, ws, || {
-            rng.next_u64()
-        })
+        budget: Option<usize>,
+    ) -> CodRequest<'a, C> {
+        CodRequest {
+            g: self.g.csr(),
+            model: self.cfg.model,
+            chain,
+            q,
+            k: self.cfg.k,
+            theta: self.cfg.theta,
+            budget,
+        }
     }
 
     /// Compressed evaluation served from the shared RR-pool cache: look up
@@ -1409,19 +1327,9 @@ impl CodEngine {
             Counter::PoolMisses
         });
         ws.sink.add(Counter::PoolEvictedBytes, lookup.evicted_bytes);
-        let out = compressed_cod_pooled(
-            self.g.csr(),
-            self.cfg.model,
-            chain,
-            q,
-            self.cfg.k,
-            self.cfg.theta,
-            self.cfg.budget,
-            &entry,
-            par,
-            Some(ws),
-            cancel,
-        )?;
+        let req = self.request(chain, q, self.cfg.budget);
+        let pooled = Samples::Pooled { entry: &entry, par };
+        let out = compressed_cod(&req, pooled, Some(ws), cancel)?;
         ws.sink
             .add(Counter::PoolEvictedBytes, self.pool.enforce_budget(&entry));
         Ok(out)
@@ -1449,7 +1357,7 @@ impl CodEngine {
         degraded: Option<Method>,
         requested: Method,
         ws: &mut QueryScratch,
-        fallback_seed: impl FnOnce() -> u64,
+        fallback_seed: u64,
     ) -> CodResult<Option<CodAnswer>> {
         let cancelled = out.cancelled;
         let served = degraded.or_else(|| cancelled.then_some(requested));
@@ -1461,7 +1369,7 @@ impl CodEngine {
                 }
                 Ok(Some(a))
             }
-            None if cancelled => self.degraded_fallback(q, fallback_seed(), cache, ws),
+            None if cancelled => self.degraded_fallback(q, fallback_seed, cache, ws),
             None => Ok(None),
         }
     }
@@ -1483,21 +1391,9 @@ impl CodEngine {
             .cfg
             .budget
             .map_or(FALLBACK_BUDGET, |b| b.min(FALLBACK_BUDGET));
-        let out = compressed_cod_governed::<SmallRng>(
-            self.g.csr(),
-            self.cfg.model,
-            &chain,
-            q,
-            self.cfg.k,
-            self.cfg.theta,
-            Some(budget),
-            SeedPolicy::PerIndex {
-                seeds: SeedSequence::new(seed),
-                par: Parallelism::Threads(1),
-            },
-            Some(ws),
-            None,
-        )?;
+        let req = self.request(&chain, q, Some(budget));
+        let par = Parallelism::Threads(1);
+        let out = compressed_cod(&req, Samples::Fresh { seed, par }, Some(ws), None)?;
         match package(&chain, out, cache) {
             Some(mut a) => {
                 a.degraded = Some(Method::Codu);
@@ -1520,7 +1416,11 @@ impl std::fmt::Debug for CodEngine {
 }
 
 /// Packages a compressed outcome into a [`CodAnswer`].
-fn package(chain: &impl Chain, out: CodOutcome, cache: Option<CacheOutcome>) -> Option<CodAnswer> {
+pub(crate) fn package(
+    chain: &impl Chain,
+    out: CodOutcome,
+    cache: Option<CacheOutcome>,
+) -> Option<CodAnswer> {
     let level = out.best_level?;
     Some(CodAnswer {
         members: chain.members(level),
@@ -1620,6 +1520,7 @@ mod tests {
 
     #[test]
     fn engine_answers_all_methods() {
+        let _fp = crate::failpoint::test_guard();
         let engine = CodEngine::new(toy(), cfg());
         let mut rng = SmallRng::seed_from_u64(77);
         for method in [Method::Codu, Method::Codr, Method::CodlMinus, Method::Codl] {
@@ -1637,6 +1538,7 @@ mod tests {
 
     #[test]
     fn missing_attribute_is_rejected_for_attributed_methods() {
+        let _fp = crate::failpoint::test_guard();
         let engine = CodEngine::new(toy(), cfg());
         let mut rng = SmallRng::seed_from_u64(1);
         for method in [Method::Codr, Method::CodlMinus, Method::Codl] {
@@ -1661,6 +1563,7 @@ mod tests {
 
     #[test]
     fn repeat_attribute_queries_hit_the_cache() {
+        let _fp = crate::failpoint::test_guard();
         let engine = CodEngine::new(toy(), cfg());
         let mut rng = SmallRng::seed_from_u64(5);
         let q = Query::new(0, 0, Method::Codr);
@@ -1680,6 +1583,7 @@ mod tests {
 
     #[test]
     fn batch_of_errors_and_answers_keeps_positions() {
+        let _fp = crate::failpoint::test_guard();
         let engine = CodEngine::new(toy(), cfg());
         let mut rng = SmallRng::seed_from_u64(9);
         let queries = [

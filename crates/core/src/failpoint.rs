@@ -339,31 +339,33 @@ pub const fn compiled_in() -> bool {
     cfg!(debug_assertions)
 }
 
+/// Failpoint state is process-global: unit tests that arm a site, and
+/// unit tests that drive the engine's eval path (which hits
+/// [`Site::EvalWorker`] and the sampling sites), serialize behind this lock
+/// so an armed panic or cancel never lands in an unrelated test.
+#[cfg(test)]
+pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    match LOCK.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
 #[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Failpoint state is process-global: serialize these tests.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        match LOCK.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
 
     #[test]
     fn disarmed_hit_is_a_no_op() {
-        let _g = guard();
+        let _g = test_guard();
         disarm_all();
         hit(Site::SampleBatch, None); // must not panic or hang
     }
 
     #[test]
     fn cancel_action_fires_the_token() {
-        let _g = guard();
+        let _g = test_guard();
         arm(Site::MergeWave, Action::Cancel);
         let token = cod_influence::CancelToken::unlimited();
         hit(Site::MergeWave, Some(&token));
@@ -378,7 +380,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "failpoint EvalWorker armed to panic")]
     fn panic_action_panics() {
-        let _g = guard();
+        let _g = test_guard();
         arm(Site::EvalWorker, Action::Panic);
         let out = std::panic::catch_unwind(|| hit(Site::EvalWorker, None));
         disarm_all();

@@ -20,11 +20,10 @@ use cod_hierarchy::{Dendrogram, LcaIndex, TreeDiff, VertexId};
 use cod_influence::{
     par_ranges, CancelToken, Model, Parallelism, RrGraph, RrSampler, SampleStats, SeedSequence,
 };
-use rand::prelude::*;
 
 use crate::failpoint;
 
-/// Draws between governance checkpoints of the seeded HFS stage (matches
+/// Draws between governance checkpoints of the HFS stage (matches
 /// the compressed-evaluation cadence).
 const CHECK_EVERY: usize = 64;
 
@@ -119,7 +118,7 @@ pub struct BuildStats {
     pub bucket_merges: u64,
 }
 
-/// What the seeded HFS stage hands back: per-vertex buckets, the drawn RR
+/// What the HFS stage hands back: per-vertex buckets, the drawn RR
 /// graphs (empty unless retention was requested), and effort counters.
 type HfsStageOutput = (Vec<FxHashMap<NodeId, u32>>, Vec<RrGraph>, SampleStats);
 
@@ -144,65 +143,23 @@ struct MergeOutput {
 
 impl HimorIndex {
     /// Builds the index with `Θ = θ·|V|` RR graphs (compressed
-    /// construction).
-    pub fn build<R: Rng>(
-        g: &Csr,
-        model: Model,
-        dendro: &Dendrogram,
-        lca: &LcaIndex,
-        theta_per_node: usize,
-        rng: &mut R,
-    ) -> Self {
-        let n = dendro.num_leaves();
-        assert_eq!(g.num_nodes(), n);
-        let theta = theta_per_node.max(1) * n;
-        let (buckets, sampled) = Self::hfs_stage(g, model, dendro, lca, theta, rng);
-        let Some(ranks) = Self::merge_stage(dendro, buckets, 1, None) else {
-            unreachable!("an ungoverned build has no token to cancel it")
-        };
-        let build_stats = BuildStats {
-            rr_graphs: sampled.graphs,
-            rr_edges: sampled.edges,
-            bucket_merges: (dendro.num_vertices() - n) as u64,
-        };
-        Self {
-            ranks: RankTable::from_nested(ranks),
-            theta,
-            build_stats,
-        }
-    }
-
-    /// Builds the index with `Θ = θ·|V|` RR graphs using per-index seed
-    /// derivation: sample `i` is drawn entirely from the RNG
-    /// [`SeedSequence::rng_for`] derives for index `i`, so the index is a
-    /// pure function of `(g, model, T, θ, seed)` — bit-identical for every
-    /// thread count and across repeated runs. Both the sampling/HFS stage
-    /// and the bottom-up bucket merge (parallelized over same-depth tree
-    /// waves, whose vertices have disjoint member sets) run on `par`.
-    pub fn build_seeded(
-        g: &Csr,
-        model: Model,
-        dendro: &Dendrogram,
-        lca: &LcaIndex,
-        theta_per_node: usize,
-        seed: u64,
-        par: Parallelism,
-    ) -> Self {
-        match Self::build_seeded_governed(g, model, dendro, lca, theta_per_node, seed, par, None) {
-            Some(idx) => idx,
-            None => unreachable!("an ungoverned build has no token to cancel it"),
-        }
-    }
-
-    /// [`HimorIndex::build_seeded`] under cooperative governance: the HFS
-    /// stage polls `cancel` every `CHECK_EVERY` draws (charging traversed
-    /// RR edges against the token's cap) and the merge stage polls it once
-    /// per depth wave. A fired token aborts the build and returns `None` —
-    /// a half-built index is never observable. `cancel: None` is exactly
-    /// [`HimorIndex::build_seeded`]; checkpoints never touch the RNG, so a
-    /// token that does not fire leaves the index bit-identical.
+    /// construction) using per-index seed derivation: sample `i` is drawn
+    /// entirely from the RNG [`SeedSequence::rng_for`] derives for index
+    /// `i`, so the index is a pure function of `(g, model, T, θ, seed)` —
+    /// bit-identical for every thread count and across repeated runs. Both
+    /// the sampling/HFS stage and the bottom-up bucket merge (parallelized
+    /// over same-depth tree waves, whose vertices have disjoint member
+    /// sets) run on `par`.
+    ///
+    /// Under `cancel` the HFS stage polls the token every `CHECK_EVERY`
+    /// draws (charging traversed RR edges against its cap) and the merge
+    /// stage polls it once per depth wave. A fired token aborts the build
+    /// and returns `None` — a half-built index is never observable.
+    /// Checkpoints never touch the RNG, so a token that does not fire
+    /// leaves the index bit-identical; with `cancel: None` the result is
+    /// always `Some`.
     #[allow(clippy::too_many_arguments)] // the build signature plus the token
-    pub fn build_seeded_governed(
+    pub fn build(
         g: &Csr,
         model: Model,
         dendro: &Dendrogram,
@@ -212,64 +169,27 @@ impl HimorIndex {
         par: Parallelism,
         cancel: Option<&CancelToken>,
     ) -> Option<Self> {
-        let n = dendro.num_leaves();
-        assert_eq!(g.num_nodes(), n);
-        let theta = theta_per_node.max(1) * n;
-        let threads = par.thread_count();
-        let (buckets, _, sampled) = Self::hfs_stage_seeded(
-            g,
-            model,
-            dendro,
-            lca,
-            theta,
-            SeedSequence::new(seed),
-            threads,
-            cancel,
-            false,
-        )?;
-        let ranks = Self::merge_stage(dendro, buckets, threads, cancel)?;
-        let build_stats = BuildStats {
-            rr_graphs: sampled.graphs,
-            rr_edges: sampled.edges,
-            bucket_merges: (dendro.num_vertices() - n) as u64,
-        };
-        Some(Self {
-            ranks: RankTable::from_nested(ranks),
-            theta,
-            build_stats,
-        })
-    }
-
-    /// Builds the index with `Θ = θ·|V|` RR graphs over `num_threads` OS
-    /// threads. A thin wrapper over [`HimorIndex::build_seeded`], kept for
-    /// callers that count threads directly: the result depends only on
-    /// `seed`, never on `num_threads`.
-    pub fn build_parallel(
-        g: &Csr,
-        model: Model,
-        dendro: &Dendrogram,
-        lca: &LcaIndex,
-        theta_per_node: usize,
-        seed: u64,
-        num_threads: usize,
-    ) -> Self {
-        Self::build_seeded(
+        let built = Self::build_inner(
             g,
             model,
             dendro,
             lca,
             theta_per_node,
             seed,
-            Parallelism::Threads(num_threads),
-        )
+            par,
+            cancel,
+            false,
+        );
+        built.map(|(index, _)| index)
     }
 
-    /// [`HimorIndex::build_seeded_governed`] variant that additionally
-    /// retains the drawn RR graphs and the master per-vertex buckets, so
-    /// later graph mutations can *patch* the index via
-    /// [`HimorPatchState::patch`] instead of resampling all `Θ` graphs.
+    /// [`HimorIndex::build`] that additionally retains the drawn RR graphs
+    /// and the master per-vertex buckets, so later graph mutations can
+    /// *patch* the index via [`HimorPatchState::patch`] instead of
+    /// resampling all `Θ` graphs. The index is the one
+    /// [`HimorIndex::build`] returns for the same inputs.
     #[allow(clippy::too_many_arguments)] // the build signature plus the token
-    pub fn build_seeded_patchable(
+    pub fn build_patchable(
         g: &Csr,
         model: Model,
         dendro: &Dendrogram,
@@ -279,74 +199,75 @@ impl HimorIndex {
         par: Parallelism,
         cancel: Option<&CancelToken>,
     ) -> Option<(Self, HimorPatchState)> {
+        let built = Self::build_inner(
+            g,
+            model,
+            dendro,
+            lca,
+            theta_per_node,
+            seed,
+            par,
+            cancel,
+            true,
+        );
+        let (index, state) = built?;
+        Some((index, state?))
+    }
+
+    /// The body both builders share; `keep_state` retains the patch state.
+    #[allow(clippy::too_many_arguments)] // the build signature plus the token and the flag
+    fn build_inner(
+        g: &Csr,
+        model: Model,
+        dendro: &Dendrogram,
+        lca: &LcaIndex,
+        theta_per_node: usize,
+        seed: u64,
+        par: Parallelism,
+        cancel: Option<&CancelToken>,
+        keep_state: bool,
+    ) -> Option<(Self, Option<HimorPatchState>)> {
         let n = dendro.num_leaves();
         assert_eq!(g.num_nodes(), n);
         let theta = theta_per_node.max(1) * n;
         let threads = par.thread_count();
         let seeds = SeedSequence::new(seed);
-        let (buckets, samples, sampled) =
-            Self::hfs_stage_seeded(g, model, dendro, lca, theta, seeds, threads, cancel, true)?;
-        let ranks = Self::merge_stage(dendro, buckets.clone(), threads, cancel)?;
-        let build_stats = BuildStats {
-            rr_graphs: sampled.graphs,
-            rr_edges: sampled.edges,
-            bucket_merges: (dendro.num_vertices() - n) as u64,
-        };
+        let (buckets, samples, sampled) = Self::sample_stage(
+            g, model, dendro, lca, theta, seeds, threads, cancel, keep_state,
+        )?;
+        let kept = keep_state.then(|| buckets.clone());
+        let ranks = Self::merge_stage(dendro, buckets, threads, cancel)?;
         let index = Self {
             ranks: RankTable::from_nested(ranks),
             theta,
-            build_stats,
+            build_stats: BuildStats {
+                rr_graphs: sampled.graphs,
+                rr_edges: sampled.edges,
+                bucket_merges: (dendro.num_vertices() - n) as u64,
+            },
         };
-        let state = HimorPatchState {
+        let state = kept.map(|buckets| HimorPatchState {
             seeds,
             theta,
             theta_per_node: theta_per_node.max(1),
             samples,
             buckets,
-        };
+        });
         Some((index, state))
     }
 
     /// Stage 1: HFS over the community tree, producing one bucket of
-    /// appearance counts per internal vertex.
-    fn hfs_stage<R: Rng>(
-        g: &Csr,
-        model: Model,
-        dendro: &Dendrogram,
-        lca: &LcaIndex,
-        theta: usize,
-        rng: &mut R,
-    ) -> (Vec<FxHashMap<NodeId, u32>>, SampleStats) {
-        let nv = dendro.num_vertices();
-        let n = dendro.num_leaves();
-        let max_depth = (0..n as NodeId)
-            .map(|v| dendro.depth(dendro.leaf(v)))
-            .max()
-            .unwrap_or(1) as usize;
-        let mut buckets: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); nv];
-        let mut sampler = RrSampler::new(g, model);
-        // Per-RR scratch: queues indexed by tag depth, drained deepest-first.
-        let mut queues: Vec<Vec<(u32, VertexId)>> = vec![Vec::new(); max_depth + 1];
-        let mut explored: Vec<bool> = Vec::new();
-
-        for _ in 0..theta {
-            let rr = sampler.sample_uniform(rng);
-            Self::hfs_record_tree(dendro, lca, &rr, &mut queues, &mut explored, &mut buckets);
-        }
-        let sampled = sampler.stats();
-        (buckets, sampled)
-    }
-
-    /// Stage 1 with per-index seed derivation, sharded over `threads`
-    /// contiguous index ranges. Bucket counts are merged by addition, which
-    /// commutes, so chunking cannot affect the result. Returns `None` when
-    /// `cancel` fired: a partially sampled bucket set must not rank anyone.
+    /// appearance counts per internal vertex, with per-index seed
+    /// derivation, sharded over `threads` contiguous index ranges. Bucket
+    /// counts are merged by addition, which commutes, so chunking cannot
+    /// affect the result. Returns `None` when `cancel` fired: a partially
+    /// sampled bucket set must not rank anyone.
     ///
     /// With `keep_samples` set, the drawn RR graphs are also returned, in
     /// index order (shard ranges are contiguous and ascending), so a
     /// [`HimorPatchState`] can later subtract and redraw individual samples.
     #[allow(clippy::too_many_arguments)] // internal stage: build inputs plus the token
-    fn hfs_stage_seeded(
+    fn sample_stage(
         g: &Csr,
         model: Model,
         dendro: &Dendrogram,
@@ -723,12 +644,12 @@ pub struct PatchStats {
     pub buckets_rekeyed: u64,
 }
 
-/// Retained construction state of a [`HimorIndex::build_seeded_patchable`]
+/// Retained construction state of a [`HimorIndex::build_patchable`]
 /// build: the `Θ` drawn RR graphs plus the master per-vertex buckets, both
 /// keyed to the hierarchy the index was last built against.
 ///
 /// After a graph mutation repairs the dendrogram, [`HimorPatchState::patch`]
-/// produces the index a full `build_seeded` on the new graph would produce —
+/// produces the index a full [`HimorIndex::build`] on the new graph would produce —
 /// bit-identically, because sample `i` is a pure function of
 /// `(graph, model, seed, i)` and only samples whose node set touches the
 /// mutation footprint can change. Everything else keeps its old draw, and
@@ -773,7 +694,7 @@ impl HimorPatchState {
     /// topology, `old_*` the hierarchy the state is keyed to, `new_*` the
     /// repaired hierarchy, `diff` their structural matching, and `edited`
     /// the nodes whose adjacency changed. Returns the index a fresh
-    /// [`HimorIndex::build_seeded`] on `(g, new_dendro)` with the same seed
+    /// [`HimorIndex::build`] on `(g, new_dendro)` with the same seed
     /// would return, bit for bit, plus patch-effort counters.
     ///
     /// Only RR samples whose node set intersects the footprint (disturbed
@@ -949,6 +870,7 @@ mod tests {
     use cod_graph::GraphBuilder;
     use cod_hierarchy::{cluster_unweighted, Linkage};
     use cod_influence::InfluenceEstimate;
+    use rand::prelude::*;
 
     fn two_stars() -> Csr {
         let mut b = GraphBuilder::new(10);
@@ -962,6 +884,21 @@ mod tests {
         b.build()
     }
 
+    fn build_on(
+        g: &Csr,
+        d: &Dendrogram,
+        lca: &LcaIndex,
+        theta: usize,
+        seed: u64,
+        par: Parallelism,
+    ) -> HimorIndex {
+        HimorIndex::build(g, Model::WeightedCascade, d, lca, theta, seed, par, None).unwrap()
+    }
+
+    fn build(g: &Csr, d: &Dendrogram, lca: &LcaIndex, theta: usize, seed: u64) -> HimorIndex {
+        build_on(g, d, lca, theta, seed, Parallelism::Threads(1))
+    }
+
     fn setup(g: &Csr) -> (Dendrogram, LcaIndex) {
         let merges = cluster_unweighted(g, Linkage::Average);
         let d = Dendrogram::from_merges(g.num_nodes(), &merges);
@@ -973,8 +910,7 @@ mod tests {
     fn hub_ranks_first_everywhere() {
         let g = two_stars();
         let (d, lca) = setup(&g);
-        let mut rng = SmallRng::seed_from_u64(21);
-        let idx = HimorIndex::build(&g, Model::WeightedCascade, &d, &lca, 300, &mut rng);
+        let idx = build(&g, &d, &lca, 300, 21);
         // Node 0 (big hub) must rank 1 in every community on its path.
         for &r in idx.ranks_of(0) {
             assert_eq!(r, 1);
@@ -989,22 +925,24 @@ mod tests {
     fn ranks_agree_with_direct_community_estimation() {
         let g = two_stars();
         let (d, lca) = setup(&g);
-        let mut rng = SmallRng::seed_from_u64(22);
-        let idx = HimorIndex::build(&g, Model::WeightedCascade, &d, &lca, 800, &mut rng);
+        let idx = build(&g, &d, &lca, 800, 22);
         // For every node and every path community, the indexed rank must
         // match an independent high-θ estimate up to tie noise; check the
         // unambiguous hub/leaf relations instead of exact equality.
-        let mut est_rng = SmallRng::seed_from_u64(23);
+        let est_seeds = SeedSequence::new(23);
+        let mut stream = 0u64;
         for q in [0u32, 6, 9] {
             let path = d.root_path(q);
             for (j, &c) in path.iter().enumerate() {
                 let members = d.members_sorted(c);
+                stream += 1;
                 let est = InfluenceEstimate::on_community(
                     &g,
                     Model::WeightedCascade,
                     &members,
                     400 * members.len(),
-                    &mut est_rng,
+                    est_seeds.child(stream),
+                    Parallelism::Threads(1),
                 );
                 let direct = est.rank(q, &members);
                 let stored = idx.ranks_of(q)[j] as usize;
@@ -1020,8 +958,7 @@ mod tests {
     fn floor_limits_the_scan() {
         let g = two_stars();
         let (d, lca) = setup(&g);
-        let mut rng = SmallRng::seed_from_u64(24);
-        let idx = HimorIndex::build(&g, Model::WeightedCascade, &d, &lca, 300, &mut rng);
+        let idx = build(&g, &d, &lca, 300, 24);
         // Query node 9 (a periphery leaf of the small star): with floor at
         // the root, only the root is scanned, and node 9 is not top-1 there.
         let root = d.root();
@@ -1034,47 +971,25 @@ mod tests {
     fn parallel_build_is_deterministic_and_consistent() {
         let g = two_stars();
         let (d, lca) = setup(&g);
-        let a = HimorIndex::build_parallel(&g, Model::WeightedCascade, &d, &lca, 200, 77, 4);
-        let b = HimorIndex::build_parallel(&g, Model::WeightedCascade, &d, &lca, 200, 77, 4);
+        let a = build_on(&g, &d, &lca, 200, 77, Parallelism::Threads(4));
+        let b = build_on(&g, &d, &lca, 200, 77, Parallelism::Threads(4));
         for v in 0..10u32 {
             assert_eq!(a.ranks_of(v), b.ranks_of(v), "same seed => same index");
         }
-        // Structural agreement with a sequential build: the hub must rank
-        // first everywhere under both.
-        let mut rng = SmallRng::seed_from_u64(78);
-        let seq = HimorIndex::build(&g, Model::WeightedCascade, &d, &lca, 200, &mut rng);
+        // Structural agreement: the hub must rank first everywhere.
         for &r in a.ranks_of(0) {
             assert_eq!(r, 1);
         }
-        for &r in seq.ranks_of(0) {
-            assert_eq!(r, 1);
-        }
-        assert_eq!(a.theta(), seq.theta());
+        assert_eq!(a.theta(), 200 * 10);
     }
 
     #[test]
     fn seeded_build_is_thread_count_invariant() {
         let g = two_stars();
         let (d, lca) = setup(&g);
-        let base = HimorIndex::build_seeded(
-            &g,
-            Model::WeightedCascade,
-            &d,
-            &lca,
-            150,
-            1234,
-            Parallelism::Threads(1),
-        );
+        let base = build(&g, &d, &lca, 150, 1234);
         for t in [2usize, 3, 8] {
-            let idx = HimorIndex::build_seeded(
-                &g,
-                Model::WeightedCascade,
-                &d,
-                &lca,
-                150,
-                1234,
-                Parallelism::Threads(t),
-            );
+            let idx = build_on(&g, &d, &lca, 150, 1234, Parallelism::Threads(t));
             for v in 0..10u32 {
                 assert_eq!(base.ranks_of(v), idx.ranks_of(v), "threads {t}, node {v}");
             }
@@ -1086,7 +1001,7 @@ mod tests {
     fn parallel_build_with_one_thread_works() {
         let g = two_stars();
         let (d, lca) = setup(&g);
-        let a = HimorIndex::build_parallel(&g, Model::WeightedCascade, &d, &lca, 50, 5, 1);
+        let a = build(&g, &d, &lca, 50, 5);
         assert_eq!(a.num_nodes(), 10);
     }
 
@@ -1094,23 +1009,14 @@ mod tests {
     fn build_stats_reflect_construction_effort() {
         let g = two_stars();
         let (d, lca) = setup(&g);
-        let mut rng = SmallRng::seed_from_u64(31);
-        let idx = HimorIndex::build(&g, Model::WeightedCascade, &d, &lca, 10, &mut rng);
+        let idx = build(&g, &d, &lca, 10, 31);
         let s = idx.build_stats();
         // Every one of the Θ = θ·|V| uniform draws generates an RR graph,
         // and stage 2 merges one bucket per internal vertex.
         assert_eq!(s.rr_graphs, 100);
         assert!(s.rr_edges > 0);
         assert_eq!(s.bucket_merges, (d.num_vertices() - 10) as u64);
-        let seeded = HimorIndex::build_seeded(
-            &g,
-            Model::WeightedCascade,
-            &d,
-            &lca,
-            10,
-            9,
-            Parallelism::Threads(4),
-        );
+        let seeded = build_on(&g, &d, &lca, 10, 9, Parallelism::Threads(4));
         assert_eq!(seeded.build_stats().rr_graphs, 100);
         assert_eq!(seeded.build_stats().bucket_merges, s.bucket_merges);
         // A reloaded index carries no provenance.
@@ -1122,16 +1028,8 @@ mod tests {
     fn patchable_build_matches_plain_seeded_build() {
         let g = two_stars();
         let (d, lca) = setup(&g);
-        let plain = HimorIndex::build_seeded(
-            &g,
-            Model::WeightedCascade,
-            &d,
-            &lca,
-            100,
-            42,
-            Parallelism::Threads(3),
-        );
-        let (patchable, state) = HimorIndex::build_seeded_patchable(
+        let plain = build_on(&g, &d, &lca, 100, 42, Parallelism::Threads(3));
+        let (patchable, state) = HimorIndex::build_patchable(
             &g,
             Model::WeightedCascade,
             &d,
@@ -1174,7 +1072,7 @@ mod tests {
             }
             let g0 = b.build();
             let (d0, lca0) = setup(&g0);
-            let (_, mut state) = HimorIndex::build_seeded_patchable(
+            let (_, mut state) = HimorIndex::build_patchable(
                 &g0,
                 Model::WeightedCascade,
                 &d0,
@@ -1220,15 +1118,7 @@ mod tests {
                     None,
                 )
                 .unwrap();
-            let scratch = HimorIndex::build_seeded(
-                &g1,
-                Model::WeightedCascade,
-                &d1,
-                &lca1,
-                20,
-                7 + trial,
-                Parallelism::Threads(2),
-            );
+            let scratch = build_on(&g1, &d1, &lca1, 20, 7 + trial, Parallelism::Threads(2));
             for q in 0..n as u32 {
                 assert_eq!(
                     patched.ranks_of(q),
@@ -1244,8 +1134,7 @@ mod tests {
     fn memory_reflects_total_depth() {
         let g = two_stars();
         let (d, lca) = setup(&g);
-        let mut rng = SmallRng::seed_from_u64(25);
-        let idx = HimorIndex::build(&g, Model::WeightedCascade, &d, &lca, 10, &mut rng);
+        let idx = build(&g, &d, &lca, 10, 25);
         let entries: usize = (0..10u32).map(|v| d.root_path(v).len()).sum();
         assert!(idx.memory_bytes() >= entries * 4);
     }

@@ -7,7 +7,7 @@
 //! comparisons so lopsided.
 
 use cod_graph::{Csr, NodeId};
-use cod_influence::{InfluenceEstimate, Model};
+use cod_influence::{InfluenceEstimate, Model, Parallelism, SeedSequence};
 use rand::prelude::*;
 
 use crate::chain::Chain;
@@ -33,7 +33,9 @@ pub fn independent_cod<R: Rng>(
         let members = chain.members(h);
         let theta = theta_per_node.max(1) * members.len();
         total_theta += theta;
-        let est = InfluenceEstimate::on_community(g, model, &members, theta, rng);
+        let seeds = SeedSequence::new(rng.next_u64());
+        let par = Parallelism::Threads(1);
+        let est = InfluenceEstimate::on_community(g, model, &members, theta, seeds, par);
         let rank = est.rank(q, &members);
         ranks.push(rank);
         sigma_q.push(est.sigma(q));

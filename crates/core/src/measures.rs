@@ -1,7 +1,7 @@
 //! Answer-quality measures for the experiment suite (§V-A, §V-C).
 
 use cod_graph::{measures as gm, AttrId, AttributedGraph, NodeId};
-use cod_influence::{InfluenceEstimate, Model};
+use cod_influence::{InfluenceEstimate, Model, Parallelism, SeedSequence};
 use rand::prelude::*;
 
 use crate::pipeline::CodAnswer;
@@ -69,7 +69,8 @@ pub fn is_truly_top_k<R: Rng>(
         model,
         members,
         theta_per_node * members.len(),
-        rng,
+        SeedSequence::new(rng.next_u64()),
+        Parallelism::Threads(1),
     );
     est.is_top_k(q, members, k)
 }

@@ -483,8 +483,7 @@ mod tests {
     use crate::recluster::build_hierarchy;
     use cod_graph::GraphBuilder;
     use cod_hierarchy::{LcaIndex, Linkage};
-    use cod_influence::Model;
-    use rand::prelude::*;
+    use cod_influence::{Model, Parallelism};
     use std::path::PathBuf;
 
     /// Unique-per-test temp path, removed when the guard drops.
@@ -518,8 +517,17 @@ mod tests {
         let g = b.build();
         let dendro = build_hierarchy(&g, Linkage::Average);
         let lca = LcaIndex::new(&dendro);
-        let mut rng = SmallRng::seed_from_u64(50);
-        let index = HimorIndex::build(&g, Model::WeightedCascade, &dendro, &lca, 50, &mut rng);
+        let index = HimorIndex::build(
+            &g,
+            Model::WeightedCascade,
+            &dendro,
+            &lca,
+            50,
+            50,
+            Parallelism::Threads(1),
+            None,
+        )
+        .unwrap();
         (g, dendro, index)
     }
 

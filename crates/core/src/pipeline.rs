@@ -27,8 +27,6 @@ use cod_hierarchy::{Dendrogram, Hierarchy, LcaIndex, Linkage};
 use cod_influence::{CancelToken, Model, Parallelism};
 use rand::prelude::*;
 
-use crate::chain::Chain;
-use crate::compressed::{compressed_cod_budgeted, compressed_cod_budgeted_seeded};
 use crate::engine::{CodEngine, Method, Query};
 use crate::error::{CodError, CodResult};
 use crate::himor::HimorIndex;
@@ -94,13 +92,12 @@ pub struct CodConfig {
     /// and the answer comes back flagged [`CodAnswer::uncertain`] instead
     /// of failing. `None` (the default) means unbounded.
     pub budget: Option<usize>,
-    /// Execution policy for RR sampling and index construction.
-    /// [`Parallelism::Serial`] (the default) keeps the legacy behaviour:
-    /// samples are drawn sequentially from the caller's RNG stream.
-    /// [`Parallelism::Auto`] and [`Parallelism::Threads`] switch to
-    /// deterministic per-sample seed derivation: one master seed is drawn
-    /// from the caller's RNG and every sample index gets its own derived
-    /// RNG, so answers are bit-identical for every thread count.
+    /// Execution policy for RR sampling and index construction
+    /// (`Threads(1)` by default). Sampling is deterministic per-sample
+    /// seed derivation under every policy: one master seed is drawn from
+    /// the caller's RNG per evaluation (and per index build) and every
+    /// sample index gets its own derived RNG, so answers are bit-identical
+    /// for every thread count.
     pub parallelism: Parallelism,
     /// Arm per-phase wall-clock timers and attach a
     /// [`crate::telemetry::QueryTrace`] to every answer
@@ -120,9 +117,10 @@ pub struct CodConfig {
     /// Serve compressed evaluations from the engine's cross-query shared
     /// RR-pool cache ([`crate::pool`]): queries on the same
     /// `(attribute, universe)` key re-fold cached RR graphs instead of
-    /// resampling. Off by default because pooled sampling is key-derived —
+    /// resampling. Off by default because pooled sampling is key-derived
+    /// while unpooled sampling derives from each query's master seed —
     /// answers are deterministic and identical warm or cold, but not
-    /// bit-identical to the unpooled paths' caller-RNG streams.
+    /// bit-identical to the unpooled answers.
     pub pool: bool,
     /// Byte budget of the shared RR-pool cache before least-recently-used
     /// pools are evicted ([`crate::pool::DEFAULT_POOL_BUDGET_BYTES`] by
@@ -139,7 +137,7 @@ impl Default for CodConfig {
             linkage: Linkage::Average,
             model: Model::WeightedCascade,
             budget: None,
-            parallelism: Parallelism::Serial,
+            parallelism: Parallelism::Threads(1),
             trace: false,
             limits: QueryLimits::default(),
             max_inflight: None,
@@ -451,107 +449,6 @@ impl<'g> Codl<'g> {
     }
 }
 
-/// Runs compressed evaluation over `chain` and packages the answer.
-///
-/// Under a seeded [`CodConfig::parallelism`] policy, exactly one `u64` is
-/// drawn from `rng` as the master seed — the same draw for every thread
-/// count — and all sampling randomness is derived from it per index.
-/// (The engine has its own planned variant of this; the free function
-/// remains for [`crate::dynamic`], which evaluates ad-hoc chains.)
-pub(crate) fn answer_from_chain<R: Rng>(
-    g: &AttributedGraph,
-    cfg: CodConfig,
-    chain: &(impl Chain + Sync),
-    q: NodeId,
-    rng: &mut R,
-) -> CodResult<Option<CodAnswer>> {
-    if chain.is_empty() {
-        return Ok(None);
-    }
-    let out = if cfg.parallelism.is_seeded() {
-        compressed_cod_budgeted_seeded(
-            g.csr(),
-            cfg.model,
-            chain,
-            q,
-            cfg.k,
-            cfg.theta,
-            cfg.budget,
-            rng.next_u64(),
-            cfg.parallelism,
-        )?
-    } else {
-        compressed_cod_budgeted(
-            g.csr(),
-            cfg.model,
-            chain,
-            q,
-            cfg.k,
-            cfg.theta,
-            cfg.budget,
-            rng,
-        )?
-    };
-    let Some(level) = out.best_level else {
-        return Ok(None);
-    };
-    Ok(Some(CodAnswer {
-        members: chain.members(level),
-        rank: out.ranks[level],
-        source: AnswerSource::Compressed,
-        uncertain: out.truncated || out.uncertain[level],
-        cache: None,
-        trace: None,
-        degraded: None,
-    }))
-}
-
-/// [`answer_from_chain`] served from a shared RR-pool cache instead of
-/// fresh sampling: the chain's universe is looked up (or created) in
-/// `cache` under `attr` and the pooled evaluation folds cached RR graphs.
-/// No caller RNG is consumed — pooled sampling is key-derived, so the
-/// answer is a pure function of `(g, cfg, chain, q, attr)`.
-pub(crate) fn answer_from_chain_pooled(
-    g: &AttributedGraph,
-    cfg: CodConfig,
-    chain: &impl Chain,
-    q: NodeId,
-    attr: Option<AttrId>,
-    cache: &crate::pool::PoolCache,
-) -> CodResult<Option<CodAnswer>> {
-    if chain.is_empty() {
-        return Ok(None);
-    }
-    let universe = chain.universe();
-    let restricted = universe.len() < g.num_nodes();
-    let (entry, _) = cache.get_or_create(attr, &universe, restricted);
-    let out = crate::compressed::compressed_cod_pooled(
-        g.csr(),
-        cfg.model,
-        chain,
-        q,
-        cfg.k,
-        cfg.theta,
-        cfg.budget,
-        &entry,
-        cfg.parallelism,
-        None,
-        None,
-    )?;
-    let Some(level) = out.best_level else {
-        return Ok(None);
-    };
-    Ok(Some(CodAnswer {
-        members: chain.members(level),
-        rank: out.ranks[level],
-        source: AnswerSource::Compressed,
-        uncertain: out.truncated || out.uncertain[level],
-        cache: None,
-        trace: None,
-        degraded: None,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,6 +497,7 @@ mod tests {
 
     #[test]
     fn codu_finds_some_community_for_a_hub() {
+        let _fp = crate::failpoint::test_guard();
         let g = toy();
         let codu = Codu::new(&g, cfg());
         let mut rng = SmallRng::seed_from_u64(31);
@@ -614,6 +512,7 @@ mod tests {
 
     #[test]
     fn codr_and_codl_minus_accept_attributes() {
+        let _fp = crate::failpoint::test_guard();
         let g = toy();
         let mut rng = SmallRng::seed_from_u64(32);
         let codr = Codr::new(&g, cfg());
@@ -626,6 +525,7 @@ mod tests {
 
     #[test]
     fn codl_index_answers_hub_queries() {
+        let _fp = crate::failpoint::test_guard();
         let g = toy();
         let mut rng = SmallRng::seed_from_u64(33);
         let codl = Codl::new(&g, cfg(), &mut rng);
@@ -638,6 +538,7 @@ mod tests {
 
     #[test]
     fn all_variants_return_communities_containing_q() {
+        let _fp = crate::failpoint::test_guard();
         let g = toy();
         let c = cfg();
         let mut rng = SmallRng::seed_from_u64(34);
@@ -664,6 +565,7 @@ mod tests {
 
     #[test]
     fn boundary_rejects_bad_parameters_without_panicking() {
+        let _fp = crate::failpoint::test_guard();
         let g = toy();
         let mut rng = SmallRng::seed_from_u64(35);
         let codu = Codu::new(&g, cfg());
@@ -685,6 +587,7 @@ mod tests {
 
     #[test]
     fn tight_budget_yields_best_effort_uncertain_answer() {
+        let _fp = crate::failpoint::test_guard();
         let g = toy();
         let tight = CodConfig {
             budget: Some(8),

@@ -278,11 +278,6 @@ impl DurableCod {
         seed: u64,
         dcfg: DurabilityConfig,
     ) -> CodResult<Self> {
-        if !cfg.parallelism.is_seeded() {
-            return Err(CodError::InvalidQuery(
-                "durable mode requires seeded parallelism (serial builds cannot replay)".into(),
-            ));
-        }
         std::fs::create_dir_all(dir)?;
         if dir.join(MANIFEST_NAME).exists() {
             return Err(CodError::InvalidQuery(format!(
@@ -291,7 +286,7 @@ impl DurableCod {
             )));
         }
         let _ = persist::sweep_temp_files(dir);
-        let inner = DynamicCod::with_seed(g, cfg, seed);
+        let inner = DynamicCod::new(g, cfg, seed);
         let mut me = DurableCod {
             inner,
             // Placeholder writer; `checkpoint_to` swaps in wal-0.
@@ -323,11 +318,6 @@ impl DurableCod {
         dcfg: DurabilityConfig,
     ) -> CodResult<(Self, RecoveryReport)> {
         let t0 = Instant::now();
-        if !cfg.parallelism.is_seeded() {
-            return Err(CodError::InvalidQuery(
-                "durable mode requires seeded parallelism (serial builds cannot replay)".into(),
-            ));
-        }
         let swept = persist::sweep_temp_files(dir)?;
         let manifest = Manifest::load(dir)?;
         let mapped = MappedArtifacts::open_eager(&dir.join(&manifest.snapshot))?;
@@ -526,8 +516,7 @@ impl DurableCod {
 
     /// Flushes pending mutations through the repair pipeline.
     pub fn flush(&mut self) -> CodResult<MutationFlushReport> {
-        let mut rng = SmallRng::seed_from_u64(self.inner.himor_seed());
-        self.inner.flush(&mut rng)
+        self.inner.flush()
     }
 
     /// A point-in-time snapshot of the engine + durability telemetry.
@@ -735,18 +724,6 @@ mod tests {
             Ok(_) => panic!("re-create over live state must fail"),
         };
         assert!(matches!(err, CodError::InvalidQuery(_)), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn serial_parallelism_is_rejected() {
-        let dir = tmp_dir("serial");
-        let g = star_graph();
-        let cfg = CodConfig {
-            parallelism: cod_influence::Parallelism::Serial,
-            ..seeded_cfg()
-        };
-        assert!(DurableCod::create(&dir, &g, cfg, 5, DurabilityConfig::default()).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -199,7 +199,7 @@ impl TopKScratch {
 /// Holds every transient buffer the compressed evaluation path needs:
 /// RR-sampler stamps, HFS queues, per-level buckets and top-k vectors.
 /// Create one per worker (it is `Send` but deliberately not shared), hand
-/// it to `compressed_cod_with` via `Some(&mut ws)`, and reuse it for the
+/// it to `compressed_cod` via `Some(&mut ws)`, and reuse it for the
 /// next query. Passing a recycled workspace never changes an answer; it
 /// only removes allocations.
 #[derive(Default, Debug)]

@@ -469,6 +469,7 @@ mod tests {
 
     #[test]
     fn sharded_batch_matches_single_engine_seeded() {
+        let _fp = crate::failpoint::test_guard();
         let g = Arc::new(two_component_graph());
         let mut build_rng = SmallRng::seed_from_u64(7);
         let single = CodEngine::from_shared(Arc::clone(&g), cfg());
@@ -496,6 +497,7 @@ mod tests {
 
     #[test]
     fn routing_respects_components() {
+        let _fp = crate::failpoint::test_guard();
         let g = Arc::new(two_component_graph());
         let mut rng = SmallRng::seed_from_u64(1);
         let sharded = ShardedEngine::build(Arc::clone(&g), cfg(), 2, &mut rng);
@@ -511,6 +513,7 @@ mod tests {
 
     #[test]
     fn metrics_text_exports_shard_series() {
+        let _fp = crate::failpoint::test_guard();
         let g = Arc::new(two_component_graph());
         let mut rng = SmallRng::seed_from_u64(2);
         let sharded = ShardedEngine::build(Arc::clone(&g), cfg(), 2, &mut rng);
@@ -527,6 +530,7 @@ mod tests {
 
     #[test]
     fn out_of_range_node_is_invalid_not_panic() {
+        let _fp = crate::failpoint::test_guard();
         let g = Arc::new(two_component_graph());
         let mut rng = SmallRng::seed_from_u64(3);
         let sharded = ShardedEngine::build(Arc::clone(&g), cfg(), 2, &mut rng);

@@ -37,7 +37,7 @@ pub use cancel::CancelToken;
 pub use estimate::{rank_in_members, InfluenceEstimate, SourceUniverse};
 pub use im::RrPool;
 pub use model::Model;
-pub use parallel::{par_ranges, Parallelism, SeedPolicy, SeededOnly};
+pub use parallel::{par_ranges, Parallelism};
 pub use rrgraph::{RrArena, RrGraph, RrRef};
 pub use sampler::{RrSampler, SampleStats, SamplerScratch};
 pub use seed::{splitmix64, SeedSequence};

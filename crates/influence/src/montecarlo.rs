@@ -304,9 +304,13 @@ mod tests {
         }
         b.add_edge(1, 2);
         let g = b.build();
-        let mut r = rng();
-        let est =
-            crate::estimate::InfluenceEstimate::on_graph(&g, Model::RandomK(2), 40_000, &mut r);
+        let est = crate::estimate::InfluenceEstimate::on_graph(
+            &g,
+            Model::RandomK(2),
+            40_000,
+            SeedSequence::new(11),
+            Parallelism::Threads(1),
+        );
         let mut mc = SmallRng::seed_from_u64(99);
         for v in 0..6u32 {
             let truth = influence(&g, Model::RandomK(2), v, 20_000, &mut mc, |_| true);

@@ -15,51 +15,6 @@
 
 use std::ops::Range;
 
-use rand::Rng;
-
-use crate::seed::SeedSequence;
-
-/// How a sampling loop obtains randomness — the one axis on which the
-/// legacy (serial) and deterministic-parallel code paths differ.
-///
-/// PR 2 left each sampling site duplicated into a `fn foo(rng)` /
-/// `fn foo_seeded(seeds, par)` pair; this enum folds the pair back into a
-/// single generic driver. [`SeedPolicy::Stream`] threads one caller RNG
-/// through every sample in order (byte-compatible with the pre-PR-2
-/// stream); [`SeedPolicy::PerIndex`] derives an independent RNG per sample
-/// index from a [`SeedSequence`], which makes the result a pure function of
-/// the master seed and therefore identical for every thread count.
-pub enum SeedPolicy<'a, R: Rng> {
-    /// Legacy single stream: sample `i + 1` continues where sample `i`
-    /// left off. Inherently sequential.
-    Stream(&'a mut R),
-    /// Per-index derivation: sample `i` draws from `seeds.rng_for(i)`.
-    /// Parallelizable under `par` without changing any drawn sample.
-    PerIndex {
-        /// The master seed sequence.
-        seeds: SeedSequence,
-        /// Fan-out policy for the sampling loop.
-        par: Parallelism,
-    },
-}
-
-impl<'a, R: Rng> SeedPolicy<'a, R> {
-    /// The thread count this policy may legally use ([`SeedPolicy::Stream`]
-    /// is always 1 — a shared mutable RNG cannot fan out).
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        match self {
-            SeedPolicy::Stream(_) => 1,
-            SeedPolicy::PerIndex { par, .. } => par.thread_count(),
-        }
-    }
-}
-
-/// [`SeedPolicy`] instantiation for call sites that never stream a caller
-/// RNG (the `R` parameter is irrelevant when only
-/// [`SeedPolicy::PerIndex`] is constructed).
-pub type SeededOnly = SeedPolicy<'static, rand::rngs::SmallRng>;
-
 /// How to execute a parallelizable stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Parallelism {
@@ -67,9 +22,6 @@ pub enum Parallelism {
     /// `COD_THREADS`, then [`std::thread::available_parallelism`].
     #[default]
     Auto,
-    /// Single-threaded. In the query pipeline this also selects the legacy
-    /// caller-RNG sampling stream (see `CodConfig::parallelism`).
-    Serial,
     /// Exactly `n` worker threads (clamped to at least 1). Results are
     /// identical for every `n` — `Threads(1)` and `Threads(8)` agree bit
     /// for bit.
@@ -81,19 +33,10 @@ impl Parallelism {
     #[must_use]
     pub fn thread_count(&self) -> usize {
         match *self {
-            Parallelism::Serial => 1,
             Parallelism::Threads(n) => n.max(1),
             Parallelism::Auto => env_thread_override()
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from)),
         }
-    }
-
-    /// `true` unless this is the legacy [`Parallelism::Serial`] policy.
-    /// Seeded (per-index-derived) sampling paths are used exactly when this
-    /// holds, independent of the resolved thread count.
-    #[must_use]
-    pub fn is_seeded(&self) -> bool {
-        !matches!(self, Parallelism::Serial)
     }
 }
 
@@ -171,12 +114,8 @@ mod tests {
 
     #[test]
     fn thread_count_resolution() {
-        assert_eq!(Parallelism::Serial.thread_count(), 1);
         assert_eq!(Parallelism::Threads(0).thread_count(), 1);
         assert_eq!(Parallelism::Threads(6).thread_count(), 6);
         assert!(Parallelism::Auto.thread_count() >= 1);
-        assert!(!Parallelism::Serial.is_seeded());
-        assert!(Parallelism::Auto.is_seeded());
-        assert!(Parallelism::Threads(1).is_seeded());
     }
 }

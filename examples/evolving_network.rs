@@ -51,7 +51,7 @@ fn main() {
     );
 
     // --- Dynamics: edits + fresh-influence queries ----------------------
-    let mut dynamic = DynamicCod::new(g, cfg, &mut rng);
+    let mut dynamic = DynamicCod::new(g, cfg, rng.next_u64());
     println!("\nsimulating growth around node {q}...");
     // Node q gains a cluster of new collaborators.
     let base = g.num_nodes() as NodeId;
@@ -74,7 +74,7 @@ fn main() {
         "query on the evolved graph: node {q} -> {:?} members",
         after.as_ref().map(|a| a.size())
     );
-    dynamic.rebuild(&mut rng);
+    dynamic.rebuild();
     let rebuilt = dynamic.query(q, attr, &mut rng).expect("valid query");
     println!(
         "after full rebuild: node {q} -> {:?} members (index usable: {})",

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pcod::cod::chain::Chain;
-use pcod::cod::compressed::{compressed_cod, compressed_cod_seeded};
+use pcod::cod::compressed::{compressed_cod, CodRequest, Samples};
 use pcod::cod::persist::{load_index, save_index_versioned};
 use pcod::cod::recluster::build_hierarchy;
 use pcod::cod::shard::ShardedEngine;
@@ -148,10 +148,9 @@ OPTIONS:
   --max-inflight N admission-control cap on concurrent batch calls; excess
                   calls are shed with a retriable \"engine overloaded\"
                   error instead of queueing
-  --threads T     RR-sampling / index-build execution: serial (default,
-                  legacy sequential sampling), auto (thread count from
-                  RAYON_NUM_THREADS / COD_THREADS / the machine), or a
-                  number. Any non-serial setting uses deterministic
+  --threads T     RR-sampling / index-build execution: auto (thread count
+                  from RAYON_NUM_THREADS / COD_THREADS / the machine) or a
+                  number (default 1). Sampling uses deterministic
                   per-sample seeding: results depend only on --seed, never
                   on the thread count
   --trace         query: print a per-query phase/counter trace line after
@@ -171,8 +170,8 @@ OPTIONS:
                   flushed immediately and the line reports whether the
                   hierarchy was repaired in place, rebuilt, or merely
                   refreshed. mutate honors --k, --theta, --seed, and
-                  --threads (default 1; any seeded setting replays
-                  bit-identically at every thread count)
+                  --threads (the replay is bit-identical at every thread
+                  count)
 
 DURABILITY OPTIONS (mutate / recover / serve):
   --wal DIR       durable state directory: an fsync'd write-ahead log of
@@ -241,12 +240,11 @@ struct Opts {
 
 fn parse_threads(raw: &str) -> Result<Parallelism, String> {
     match raw {
-        "serial" => Ok(Parallelism::Serial),
         "auto" => Ok(Parallelism::Auto),
         n => n
             .parse::<usize>()
             .map(Parallelism::Threads)
-            .map_err(|_| "--threads wants serial, auto, or a number".to_string()),
+            .map_err(|_| format!("--threads wants auto or a number, not {n:?}")),
     }
 }
 
@@ -449,22 +447,12 @@ impl Opts {
         Ok(dcfg)
     }
 
-    /// The COD configuration for durable commands: seeded by default
-    /// (Threads(1) unless --threads says otherwise) because WAL replay
-    /// requires deterministic rebuilds.
-    fn seeded_cod_config(&self) -> CodConfig {
-        CodConfig {
-            parallelism: self.threads.unwrap_or(Parallelism::Threads(1)),
-            ..self.cod_config()
-        }
-    }
-
     fn cod_config(&self) -> CodConfig {
         CodConfig {
             k: self.k,
             theta: self.theta,
             budget: self.budget,
-            parallelism: self.threads.unwrap_or(Parallelism::Serial),
+            parallelism: self.threads.unwrap_or(Parallelism::Threads(1)),
             trace: self.trace,
             pool: self.pool,
             limits: QueryLimits {
@@ -933,21 +921,12 @@ fn cmd_hierarchy(opts: &Opts) -> Result<(), String> {
     let lca = LcaIndex::new(&dendro);
     let chain = DendroChain::new(&dendro, &lca, q).map_err(|e| e.to_string())?;
     let mut rng = SmallRng::seed_from_u64(opts.seed);
-    let out = if cfg.parallelism.is_seeded() {
-        compressed_cod_seeded(
-            g.csr(),
-            cfg.model,
-            &chain,
-            q,
-            cfg.k,
-            cfg.theta,
-            rng.next_u64(),
-            cfg.parallelism,
-        )
-    } else {
-        compressed_cod(g.csr(), cfg.model, &chain, q, cfg.k, cfg.theta, &mut rng)
-    }
-    .map_err(|e| e.to_string())?;
+    let req = CodRequest::new(g.csr(), cfg.model, &chain, q, cfg.k, cfg.theta);
+    let fresh = Samples::Fresh {
+        seed: rng.next_u64(),
+        par: cfg.parallelism,
+    };
+    let out = compressed_cod(&req, fresh, None, None).map_err(|e| e.to_string())?;
     println!("node {q}: |H(q)| = {} communities", chain.len());
     println!("level | size     | rank(q) | top-{}?", cfg.k);
     for h in 0..chain.len().min(opts.levels) {
@@ -1028,18 +1007,14 @@ fn cmd_im(opts: &Opts) -> Result<(), String> {
         }
     };
     let theta = cfg.theta.max(20) * members.as_ref().map_or(g.num_nodes(), Vec::len);
-    let pool = if cfg.parallelism.is_seeded() {
-        RrPool::sample_seeded(
-            g.csr(),
-            cfg.model,
-            theta,
-            SeedSequence::new(rng.next_u64()),
-            members.as_deref(),
-            cfg.parallelism,
-        )
-    } else {
-        RrPool::sample(g.csr(), cfg.model, theta, &mut rng, members.as_deref())
-    };
+    let pool = RrPool::sample(
+        g.csr(),
+        cfg.model,
+        theta,
+        SeedSequence::new(rng.next_u64()),
+        members.as_deref(),
+        cfg.parallelism,
+    );
     let seeds = pool.greedy_seeds(cfg.k);
     println!("greedy seeds (marginal estimated influence):");
     for (i, (v, gain)) in seeds.iter().enumerate() {
@@ -1068,7 +1043,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
         if opts.mmap || opts.shards.unwrap_or(1) > 1 {
             return Err("--wal serving is single-engine: drop --mmap and --shards".into());
         }
-        let cfg = opts.seeded_cod_config();
+        let cfg = opts.cod_config();
         let dcfg = opts.durability_config()?;
         let dir = dir.clone();
         pcod::serve::signal::install_shutdown_handler();
@@ -1233,12 +1208,9 @@ impl Replayer {
         }
     }
 
-    fn flush(&mut self, seed: u64) -> Result<pcod::cod::MutationFlushReport, pcod::cod::CodError> {
+    fn flush(&mut self) -> Result<pcod::cod::MutationFlushReport, pcod::cod::CodError> {
         match self {
-            Replayer::Plain(d) => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                d.flush(&mut rng)
-            }
+            Replayer::Plain(d) => d.flush(),
             Replayer::Durable(d) => d.flush(),
         }
     }
@@ -1260,12 +1232,12 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
     let text = std::fs::read_to_string(log_path)
         .map_err(|e| format!("reading {}: {e}", log_path.display()))?;
     let log = MutationLog::parse_text(&text).map_err(|e| e.to_string())?;
-    // Seeded by default: the replay is then a pure function of the log and
-    // --seed, bit-identical at every thread count, and single edits repair
-    // the hierarchy in place instead of rebuilding it.
-    let cfg = opts.seeded_cod_config();
+    // The replay is a pure function of the log and --seed, bit-identical at
+    // every thread count, and single edits repair the hierarchy in place
+    // instead of rebuilding it.
+    let cfg = opts.cod_config();
     let mut replayer = match &opts.wal {
-        None => Replayer::Plain(Box::new(DynamicCod::with_seed(&g, cfg, opts.seed))),
+        None => Replayer::Plain(Box::new(DynamicCod::new(&g, cfg, opts.seed))),
         Some(dir) => {
             let dcfg = opts.durability_config()?;
             if DurableCod::exists(dir) {
@@ -1326,9 +1298,7 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
             );
             continue;
         }
-        let report = replayer
-            .flush(opts.seed)
-            .map_err(|e| halt(i + 1, i + 1, e))?;
+        let report = replayer.flush().map_err(|e| halt(i + 1, i + 1, e))?;
         let outcome = match report.outcome {
             FlushOutcome::Noop => "no-op".to_string(),
             FlushOutcome::Refreshed => "refreshed (hierarchy + index untouched)".to_string(),
@@ -1377,7 +1347,7 @@ fn cmd_recover(opts: &Opts) -> Result<(), String> {
     use pcod::cod::DurableCod;
 
     let dir = opts.wal.as_ref().ok_or("recover needs --wal DIR")?;
-    let cfg = opts.seeded_cod_config();
+    let cfg = opts.cod_config();
     let dcfg = opts.durability_config()?;
     let (mut durable, report) = DurableCod::open(dir, cfg, dcfg).map_err(|e| e.to_string())?;
     println!(

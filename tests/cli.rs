@@ -211,6 +211,29 @@ fn malformed_edge_list_reports_the_line_number() {
     assert_eq!(err.trim_end().lines().count(), 1, "not one line: {err}");
 }
 
+/// `serial` is not a thread policy: the error names the accepted values.
+#[test]
+fn threads_serial_is_rejected_naming_the_accepted_values() {
+    let (edges, attrs) = tiny_graph_files();
+    let o = run(&[
+        "query",
+        "--edges",
+        edges.path(),
+        "--attrs",
+        attrs.path(),
+        "--node",
+        "3",
+        "--threads",
+        "serial",
+    ]);
+    let err = assert_clean_failure(&o);
+    let first = err.lines().next().unwrap_or_default();
+    assert!(
+        first.contains("auto") && first.contains("a number"),
+        "accepted values missing: {first}"
+    );
+}
+
 #[test]
 fn zero_k_is_rejected_without_panic() {
     let (edges, attrs) = tiny_graph_files();

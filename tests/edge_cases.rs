@@ -2,7 +2,7 @@
 //! behavioural contracts that unit tests don't cover.
 
 use pcod::cod::chain::Chain;
-use pcod::cod::compressed::compressed_cod;
+use pcod::cod::compressed::{compressed_cod, CodRequest, Samples};
 use pcod::cod::recluster::build_hierarchy;
 use pcod::graph::subgraph::Subgraph;
 use pcod::prelude::*;
@@ -41,13 +41,13 @@ fn k_at_least_community_size_accepts_every_level() {
     let mut rng = SmallRng::seed_from_u64(2);
     // k = |V| dominates every rank: best level must be the chain top.
     let out = compressed_cod(
-        g.csr(),
-        Model::WeightedCascade,
-        &chain,
-        0,
-        10,
-        200,
-        &mut rng,
+        &CodRequest::new(g.csr(), Model::WeightedCascade, &chain, 0, 10, 200),
+        Samples::Fresh {
+            seed: rng.next_u64(),
+            par: Parallelism::Threads(1),
+        },
+        None,
+        None,
     )
     .unwrap();
     assert_eq!(out.best_level, Some(chain.len() - 1));
@@ -112,8 +112,16 @@ fn divisive_hierarchy_supports_cod_queries() {
     let queries = pcod::datasets::gen_queries(g, 6, &mut rng);
     for &(q, _) in &queries {
         let chain = DendroChain::new(&dendro, &lca, q).unwrap();
-        let out =
-            compressed_cod(g.csr(), Model::WeightedCascade, &chain, q, 5, 10, &mut rng).unwrap();
+        let out = compressed_cod(
+            &CodRequest::new(g.csr(), Model::WeightedCascade, &chain, q, 5, 10),
+            Samples::Fresh {
+                seed: rng.next_u64(),
+                par: Parallelism::Threads(1),
+            },
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(out.ranks.len(), chain.len());
         if let Some(h) = out.best_level {
             assert!(chain.members(h).binary_search(&q).is_ok());
@@ -200,8 +208,11 @@ fn himor_on_two_node_graph() {
         &dendro,
         &lca,
         100,
-        &mut rng,
-    );
+        rng.next_u64(),
+        Parallelism::Threads(1),
+        None,
+    )
+    .unwrap();
     // Both nodes have exactly one path community (the root) and rank <= 2.
     for v in 0..2u32 {
         assert_eq!(index.ranks_of(v).len(), 1);
@@ -249,7 +260,7 @@ fn pooled_zero_budget_nets_already_pooled_samples() {
     // draws. θ = 7 over a 2-node universe needs 14 samples; with 5 pooled,
     // a zero budget is short exactly 9 — and once the pool holds all 14,
     // a zero budget answers outright.
-    use pcod::cod::compressed::{compressed_cod_pooled, resolve_theta_pooled};
+    use pcod::cod::compressed::resolve_theta_pooled;
     use pcod::cod::pool::RrPoolEntry;
     use pcod::cod::recluster::build_hierarchy;
     use std::sync::Arc;
@@ -269,16 +280,15 @@ fn pooled_zero_budget_nets_already_pooled_samples() {
         None,
     );
     let evaluate = |budget: Option<usize>| {
-        compressed_cod_pooled(
-            g.csr(),
-            Model::WeightedCascade,
-            &chain,
-            0,
-            1,
-            7,
-            budget,
-            &pool,
-            Parallelism::Threads(1),
+        compressed_cod(
+            &CodRequest {
+                budget,
+                ..CodRequest::new(g.csr(), Model::WeightedCascade, &chain, 0, 1, 7)
+            },
+            Samples::Pooled {
+                entry: &pool,
+                par: Parallelism::Threads(1),
+            },
             None,
             None,
         )

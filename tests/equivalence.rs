@@ -1,11 +1,29 @@
 //! Estimator-equivalence tests: the theorems of §II–§III hold numerically.
 
 use pcod::cod::chain::Chain;
-use pcod::cod::compressed::compressed_cod;
+use pcod::cod::compressed::{compressed_cod, CodRequest, Samples};
 use pcod::cod::independent::independent_cod;
 use pcod::cod::recluster::build_hierarchy;
 use pcod::prelude::*;
 use rand::prelude::*;
+
+/// Fixed-θ compressed COD on fresh one-thread samples whose master seed
+/// is drawn from `rng`.
+fn compressed(
+    g: &Csr,
+    chain: &impl Chain,
+    q: NodeId,
+    k: usize,
+    theta: usize,
+    rng: &mut SmallRng,
+) -> pcod::cod::CodOutcome {
+    let req = CodRequest::new(g, Model::WeightedCascade, chain, q, k, theta);
+    let fresh = Samples::Fresh {
+        seed: rng.next_u64(),
+        par: Parallelism::Threads(1),
+    };
+    compressed_cod(&req, fresh, None, None).unwrap()
+}
 
 fn dataset() -> pcod::datasets::Dataset {
     pcod::datasets::amazon_like_scaled(600, 123)
@@ -30,7 +48,8 @@ fn theorem_2_induced_estimates_match_forward_simulation() {
         Model::WeightedCascade,
         &members,
         4000,
-        &mut rng,
+        SeedSequence::new(rng.next_u64()),
+        Parallelism::Threads(1),
     );
     let mut mc_rng = SmallRng::seed_from_u64(8);
     for &v in members.iter().take(6) {
@@ -66,8 +85,7 @@ fn compressed_matches_independent_at_high_theta() {
         if chain.len() > 14 {
             continue; // keep Independent affordable
         }
-        let a =
-            compressed_cod(g.csr(), Model::WeightedCascade, &chain, q, k, 60, &mut rng).unwrap();
+        let a = compressed(g.csr(), &chain, q, k, 60, &mut rng);
         let b = independent_cod(g.csr(), Model::WeightedCascade, &chain, q, k, 60, &mut rng);
         // Compare the top-k verdict per level; allow a one-level slack for
         // borderline ranks.
@@ -100,7 +118,7 @@ fn compressed_sigma_is_calibrated() {
     let mut rng = SmallRng::seed_from_u64(10);
     let q = pcod::datasets::gen_queries(g, 1, &mut rng)[0].0;
     let chain = DendroChain::new(&dendro, &lca, q).unwrap();
-    let out = compressed_cod(g.csr(), Model::WeightedCascade, &chain, q, 5, 80, &mut rng).unwrap();
+    let out = compressed(g.csr(), &chain, q, 5, 80, &mut rng);
     // Root-level sigma equals the global influence of q.
     let mut mc_rng = SmallRng::seed_from_u64(11);
     let truth = pcod::influence::montecarlo::influence(
@@ -133,7 +151,8 @@ fn lt_model_estimates_match_simulation() {
         &g,
         Model::LinearThreshold,
         30_000,
-        &mut rng,
+        SeedSequence::new(rng.next_u64()),
+        Parallelism::Threads(1),
     );
     let mut mc_rng = SmallRng::seed_from_u64(13);
     for v in 0..6u32 {
@@ -162,15 +181,24 @@ fn himor_is_consistent_with_direct_evaluation() {
     let dendro = build_hierarchy(g.csr(), Linkage::Average);
     let lca = LcaIndex::new(&dendro);
     let mut rng = SmallRng::seed_from_u64(14);
-    let index = HimorIndex::build(g.csr(), Model::WeightedCascade, &dendro, &lca, 60, &mut rng);
+    let index = HimorIndex::build(
+        g.csr(),
+        Model::WeightedCascade,
+        &dendro,
+        &lca,
+        60,
+        rng.next_u64(),
+        Parallelism::Threads(1),
+        None,
+    )
+    .unwrap();
     let queries = pcod::datasets::gen_queries(g, 8, &mut rng);
     let k = 5;
     let mut agreements = 0;
     let mut total = 0;
     for &(q, _) in &queries {
         let chain = DendroChain::new(&dendro, &lca, q).unwrap();
-        let direct =
-            compressed_cod(g.csr(), Model::WeightedCascade, &chain, q, k, 60, &mut rng).unwrap();
+        let direct = compressed(g.csr(), &chain, q, k, 60, &mut rng);
         let from_index = index.largest_top_k(&dendro, q, None, k);
         let direct_vertex = direct.best_level.map(|h| dendro.root_path(q)[h]);
         total += 1;
@@ -226,7 +254,7 @@ fn answers_at_threads(
 }
 
 /// CODU, CODR, CODL⁻ and CODL give byte-identical answers at 1, 2 and 8
-/// threads when seeded parallelism is on.
+/// threads.
 #[test]
 fn facades_are_thread_count_invariant() {
     let data = dataset();
@@ -269,37 +297,41 @@ fn budgeted_facades_are_thread_count_invariant() {
 /// outcomes).
 #[test]
 fn adaptive_escalation_is_thread_count_invariant() {
-    use pcod::cod::compressed::compressed_cod_adaptive_seeded;
+    use pcod::cod::compressed::compressed_cod_adaptive;
     let data = dataset();
     let g = data.graph.csr();
     let dendro = build_hierarchy(g, Linkage::Average);
     let lca = LcaIndex::new(&dendro);
     for q in [2u32, 48] {
         let chain = DendroChain::new(&dendro, &lca, q).unwrap();
-        let reference = compressed_cod_adaptive_seeded(
-            g,
-            Model::WeightedCascade,
-            &chain,
-            q,
-            3,
-            4,
+        let reference = compressed_cod_adaptive(
+            &CodRequest::new(g, Model::WeightedCascade, &chain, q, 3, 4),
+            Samples::Fresh {
+                seed: 777,
+                par: Parallelism::Threads(1),
+            },
             128,
-            777,
-            Parallelism::Threads(1),
+            f64::INFINITY,
+            0.05,
+            None,
+            None,
         )
+        .map(|(out, _)| out)
         .unwrap();
         for t in [2usize, 8] {
-            let out = compressed_cod_adaptive_seeded(
-                g,
-                Model::WeightedCascade,
-                &chain,
-                q,
-                3,
-                4,
+            let out = compressed_cod_adaptive(
+                &CodRequest::new(g, Model::WeightedCascade, &chain, q, 3, 4),
+                Samples::Fresh {
+                    seed: 777,
+                    par: Parallelism::Threads(t),
+                },
                 128,
-                777,
-                Parallelism::Threads(t),
+                f64::INFINITY,
+                0.05,
+                None,
+                None,
             )
+            .map(|(out, _)| out)
             .unwrap();
             assert_eq!(out, reference, "q={q} threads {t}");
         }

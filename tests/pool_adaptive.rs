@@ -1,5 +1,6 @@
 //! Statistical-equivalence harness for the confidence-bound adaptive
-//! evaluator over the shared RR pool (`compressed_cod_adaptive_pooled`).
+//! evaluator over the shared RR pool (`compressed_cod_adaptive` on
+//! `Samples::Pooled`).
 //!
 //! The adaptive loop doubles the per-node sample rate until the top-k
 //! verdict at every level is certain *and* the influence estimate's
@@ -18,7 +19,7 @@
 //!   the *same* pool, a violation would mean the bound is mis-derived).
 
 use pcod::cod::compressed::{
-    compressed_cod_adaptive_pooled, compressed_cod_pooled, influence_half_width,
+    compressed_cod, compressed_cod_adaptive, influence_half_width, CodRequest, Samples,
 };
 use pcod::cod::pool::RrPoolEntry;
 use pcod::cod::recluster::build_hierarchy;
@@ -81,32 +82,25 @@ fn adaptive_agrees_with_fixed_reference_on_95_percent_of_the_grid() {
         let chain = DendroChain::new(&grid.dendro, &grid.lca, q).expect("chain exists");
         let universe_len = chain.universe().len();
         assert_eq!(universe_len, n, "cora is connected: the chain spans V");
-        let (adaptive, report) = compressed_cod_adaptive_pooled(
-            g,
-            Model::WeightedCascade,
-            &chain,
-            q,
-            3,
-            THETA_START,
+        let (adaptive, report) = compressed_cod_adaptive(
+            &CodRequest::new(g, Model::WeightedCascade, &chain, q, 3, THETA_START),
+            Samples::Pooled {
+                entry: &grid.pool,
+                par: Parallelism::Threads(2),
+            },
             THETA_REF,
             EPSILON,
             DELTA,
-            &grid.pool,
-            Parallelism::Threads(2),
             Some(&mut ws),
             None,
         )
         .expect("valid query");
-        let reference = compressed_cod_pooled(
-            g,
-            Model::WeightedCascade,
-            &chain,
-            q,
-            3,
-            THETA_REF,
-            None,
-            &grid.pool,
-            Parallelism::Threads(2),
+        let reference = compressed_cod(
+            &CodRequest::new(g, Model::WeightedCascade, &chain, q, 3, THETA_REF),
+            Samples::Pooled {
+                entry: &grid.pool,
+                par: Parallelism::Threads(2),
+            },
             Some(&mut ws),
             None,
         )
@@ -191,18 +185,15 @@ fn adaptive_pooled_replays_bit_identically_across_threads() {
     let run = |t: usize| {
         // A private pool per run: growth itself must be thread-invariant.
         let pool = RrPoolEntry::new(None, universe.clone(), false);
-        compressed_cod_adaptive_pooled(
-            g,
-            Model::WeightedCascade,
-            &chain,
-            q,
-            3,
-            2,
+        compressed_cod_adaptive(
+            &CodRequest::new(g, Model::WeightedCascade, &chain, q, 3, 2),
+            Samples::Pooled {
+                entry: &pool,
+                par: Parallelism::Threads(t),
+            },
             16,
             0.02,
             DELTA,
-            &pool,
-            Parallelism::Threads(t),
             None,
             None,
         )

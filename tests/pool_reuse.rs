@@ -265,24 +265,13 @@ fn clear_cache_invalidates_pools_and_rebuilds_identically() {
 // DynamicCod: every mutation invalidates, a stale pool is never served.
 // ---------------------------------------------------------------------------
 
-/// `pooled_cfg` with serial parallelism: `DynamicCod` then keeps the
-/// legacy lazy contract (no flush-on-query repair), so queries on a dirty
-/// node take the pooled compressed path — exactly the window this test
-/// observes. The seeded flush pipeline's scoped eviction is covered by
-/// `tests/mutation.rs`.
-fn serial_pooled_cfg() -> CodConfig {
-    CodConfig {
-        parallelism: Parallelism::Serial,
-        ..pooled_cfg(1)
-    }
-}
-
 /// Every `DynamicCod` mutation path — edge insert, edge removal, attribute
 /// edit, explicit rebuild — bumps the pool epoch, and scoped eviction
-/// drops every pool the mutation could stale. All pools in this workload
-/// span the query node (edge edits) or are keyed to its attribute
-/// (attribute edits), so each mutation must leave zero pools resident: a
-/// pool sampled on the old graph does not survive to the first
+/// drops every pool the mutation could stale. `DynamicCod` chains top out
+/// at the whole graph, so every pool is unrestricted (dropped by any edge
+/// edit), and every pool here is keyed to `attr` (dropped by an attribute
+/// edit that touches it): each mutation must leave zero pools resident,
+/// so a pool sampled on the old graph does not survive to the first
 /// post-mutation lookup.
 #[test]
 fn dynamic_mutations_invalidate_the_pool() {
@@ -290,20 +279,33 @@ fn dynamic_mutations_invalidate_the_pool() {
     failpoint::disarm_all();
     let data = dataset();
     let g = &data.graph;
-    let mut dyn_cod = DynamicCod::new(g, serial_pooled_cfg(), &mut SmallRng::seed_from_u64(11));
+    let mut dyn_cod = DynamicCod::new(g, pooled_cfg(1), 11);
     let q: NodeId = 9;
     let attr = g.node_attrs(q).first().copied().unwrap_or(0);
-    let ask = |d: &mut DynamicCod| {
-        d.query(q, attr, &mut SmallRng::seed_from_u64(500))
+    let ask = |d: &mut DynamicCod, v: NodeId| {
+        d.query(v, attr, &mut SmallRng::seed_from_u64(500))
             .expect("valid query")
     };
-    ask(&mut dyn_cod);
+    // Queries flush first, so a node's answer may come from the repaired
+    // index without touching a pool. Walk the nodes until one takes the
+    // pooled compressed path, and return it.
+    let populate = |d: &mut DynamicCod| -> NodeId {
+        let n = d.num_nodes() as NodeId;
+        let Some(v) = (0..n).find(|&v| {
+            ask(d, v);
+            d.pool_stats().pools > 0
+        }) else {
+            panic!("no query took the pooled compressed path");
+        };
+        v
+    };
     // Pick an endpoint not adjacent to q so the insert is a real edit.
     let other = (0..g.num_nodes() as NodeId)
         .find(|&v| v != q && !g.csr().neighbors(q).contains(&v))
         .expect("a non-neighbor exists");
 
     // Edge insert.
+    populate(&mut dyn_cod);
     let epoch = dyn_cod.pool_epoch();
     assert!(dyn_cod.insert_edge(q, other));
     assert_eq!(
@@ -312,15 +314,11 @@ fn dynamic_mutations_invalidate_the_pool() {
         "insert_edge must invalidate"
     );
     assert_eq!(dyn_cod.pool_stats().pools, 0);
-    // The edit touches q, so the index path is unusable and the query runs
-    // the pooled compressed evaluation: the pool repopulates, and a repeat
-    // query reuses it with the identical answer.
-    let cold = ask(&mut dyn_cod);
-    assert!(
-        dyn_cod.pool_stats().pools > 0,
-        "post-mutation query did not rebuild the pool"
-    );
-    let warm = ask(&mut dyn_cod);
+    // After the mutation the pool repopulates, and a repeat query reuses
+    // it with the identical answer.
+    let v = populate(&mut dyn_cod);
+    let cold = ask(&mut dyn_cod, v);
+    let warm = ask(&mut dyn_cod, v);
     assert_eq!(warm, cold, "warm pooled answer diverged after mutation");
 
     // Edge removal.
@@ -334,17 +332,16 @@ fn dynamic_mutations_invalidate_the_pool() {
     assert_eq!(dyn_cod.pool_stats().pools, 0);
 
     // Attribute edit (repopulate first so the drop is observable).
-    ask(&mut dyn_cod);
-    assert!(dyn_cod.pool_stats().pools > 0);
+    populate(&mut dyn_cod);
     let epoch = dyn_cod.pool_epoch();
     dyn_cod.set_attrs(q, vec![attr]).expect("q is in range");
     assert_eq!(dyn_cod.pool_epoch(), epoch + 1, "set_attrs must invalidate");
     assert_eq!(dyn_cod.pool_stats().pools, 0);
 
     // Explicit rebuild.
-    ask(&mut dyn_cod);
+    populate(&mut dyn_cod);
     let epoch = dyn_cod.pool_epoch();
-    dyn_cod.rebuild(&mut SmallRng::seed_from_u64(12));
+    dyn_cod.rebuild();
     assert_eq!(dyn_cod.pool_epoch(), epoch + 1, "rebuild must invalidate");
     assert_eq!(dyn_cod.pool_stats().pools, 0);
 }

@@ -303,10 +303,10 @@ proptest! {
         let g = random_graph(n, extra, gseed);
         let seq = SeedSequence::new(master);
         let theta = 64;
-        let serial = RrPool::sample_seeded(
+        let serial = RrPool::sample(
             &g, Model::WeightedCascade, theta, seq, None, Parallelism::Threads(1),
         );
-        let parallel = RrPool::sample_seeded(
+        let parallel = RrPool::sample(
             &g, Model::WeightedCascade, theta, seq, None, Parallelism::Threads(threads),
         );
         for i in 0..theta {
