@@ -162,6 +162,18 @@ const RATIOS: &[(&str, &str, &str, Option<f64>)] = &[
     ),
 ];
 
+/// Within-run ratios reported next to [`RATIOS`] but never gated:
+/// `(name, numerator id, denominator id)`.
+const INFO_RATIOS: &[(&str, &str, &str)] = &[
+    // Per-event repair with the splice verified against a full
+    // reclustering (the `DynamicCod` default) vs a full rebuild.
+    (
+        "repair_verified_vs_rebuild",
+        "mutation_churn/repair_verified_per_event",
+        "mutation_churn/rebuild_per_event",
+    ),
+];
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum GateMode {
     /// Gate on within-run ratios; absolute medians are informational.
@@ -385,7 +397,11 @@ fn render_report(
     // artifact shows the gated quantities next to the raw medians.
     out.push_str("  \"ratios\": {\n");
     let mut first = true;
-    for (name, num, den, _cap) in RATIOS {
+    let all = RATIOS
+        .iter()
+        .map(|&(name, num, den, _)| (name, num, den))
+        .chain(INFO_RATIOS.iter().copied());
+    for (name, num, den) in all {
         let Some(ratio) = ratio_of(benchmarks, num, den) else {
             continue;
         };
@@ -518,6 +534,11 @@ fn gate_ratio(
     if compared == 0 {
         eprintln!("REGRESSION GATE BROKEN: no ratio had both legs in both files");
         failed = true;
+    }
+    for (name, num, den) in INFO_RATIOS {
+        if let Some(cur) = ratio_of(current, num, den) {
+            eprintln!("info: ratio {name}: {cur:.4} (not gated)");
+        }
     }
     absolute_changes(current, baseline, max_regression_pct, false);
     if failed {
@@ -678,6 +699,20 @@ not json at all\n\
             report.contains(&format!("\"{}\": 0.5000", RATIOS[0].0)),
             "{report}"
         );
+    }
+
+    #[test]
+    fn info_ratios_are_reported_but_never_gated() {
+        let (name, num, den) = INFO_RATIOS[0];
+        let mut legs = ratio_legs(500, 1000);
+        legs.insert(num.to_string(), entry(900));
+        legs.insert(den.to_string(), entry(1000));
+        let report = render_report(&legs, &BTreeMap::new());
+        assert!(report.contains(&format!("\"{name}\": 0.9000")), "{report}");
+        // Ten times worse than the baseline still passes the gate.
+        let mut worse = legs.clone();
+        worse.insert(num.to_string(), entry(9000));
+        assert!(gate_ratio(&worse, &legs, 25.0));
     }
 
     #[test]

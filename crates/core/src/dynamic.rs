@@ -16,8 +16,8 @@
 //!   edit keeps restricted pools whose universe avoids both endpoints);
 //! * **the hierarchy is repaired, not rebuilt** — on flush, linkage re-runs
 //!   only along the leaf-to-root paths of touched nodes ([`repair_merges`])
-//!   and the HIMOR index is patched by redrawing only the RR samples whose
-//!   node sets intersect the footprint
+//!   and the HIMOR index is patched by redrawing only the RR samples that
+//!   hold an edited node and re-tagging those under a changed community
 //!   ([`crate::himor::HimorPatchState::patch`]); a full rebuild happens
 //!   only when the edit volume crosses `rebuild_threshold` or the node
 //!   range grows;
@@ -60,7 +60,9 @@ pub enum FlushOutcome {
         /// means verification fell back to recomputed merges).
         spliced: bool,
         /// RR samples whose node sets touched the footprint and were
-        /// redrawn on the new topology.
+        /// re-recorded under the repaired tree: resampled on the new
+        /// topology when they hold an edited node, re-tagged otherwise
+        /// (the resampled part is `cod_himor_samples_resampled_total`).
         samples_redrawn: u64,
         /// Total retained samples (`Θ`), the redraw denominator.
         samples_total: u64,
@@ -454,8 +456,6 @@ impl DynamicCod {
         let patched = patch.patch(
             &new_csr,
             self.cfg.model,
-            &cache.dendro,
-            &cache.lca,
             &new_dendro,
             &new_lca,
             &diff,
@@ -468,6 +468,8 @@ impl DynamicCod {
             cache.patch = Some(patch);
             return Err(CodError::DeadlineExceeded);
         };
+        self.metrics
+            .record_himor_samples_resampled(stats.samples_resampled);
         self.cache = Cache {
             graph: snapshot(new_csr.clone(), &self.attrs, &self.interner),
             dendro: new_dendro,

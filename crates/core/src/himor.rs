@@ -18,10 +18,12 @@
 use cod_graph::{Csr, FxHashMap, NodeId, Segment};
 use cod_hierarchy::{Dendrogram, LcaIndex, TreeDiff, VertexId};
 use cod_influence::{
-    par_ranges, CancelToken, Model, Parallelism, RrGraph, RrSampler, SampleStats, SeedSequence,
+    par_ranges, CancelToken, Model, Parallelism, RrArena, RrRef, RrSampler, SampleStats,
+    SeedSequence,
 };
+use rand::Rng;
 
-use crate::failpoint;
+use crate::failpoint::{self, Site};
 
 /// Draws between governance checkpoints of the HFS stage (matches
 /// the compressed-evaluation cadence).
@@ -118,14 +120,22 @@ pub struct BuildStats {
     pub bucket_merges: u64,
 }
 
+/// Per-vertex appearance counts: `buckets[c][v]` is how many RR graphs
+/// tag node `v` with community `c`.
+type Buckets = Vec<FxHashMap<NodeId, u32>>;
+
 /// What the HFS stage hands back: per-vertex buckets, the drawn RR
-/// graphs (empty unless retention was requested), and effort counters.
-type HfsStageOutput = (Vec<FxHashMap<NodeId, u32>>, Vec<RrGraph>, SampleStats);
+/// graphs and their tag stream (both empty unless retention was
+/// requested), and effort counters.
+type HfsStageOutput = (Buckets, RrArena, Vec<VertexId>, SampleStats);
+
+/// Marks a node the HFS has not reached yet (no vertex has this id).
+const UNSEEN: VertexId = VertexId::MAX;
 
 /// Detached inputs of one vertex's bucket merge (stage 2).
-struct MergeItem {
+struct MergeItem<'a> {
     vertex: VertexId,
-    bucket: FxHashMap<NodeId, u32>,
+    bucket: &'a FxHashMap<NodeId, u32>,
     left: Vec<(u32, NodeId)>,
     right: Vec<(u32, NodeId)>,
 }
@@ -183,10 +193,10 @@ impl HimorIndex {
         built.map(|(index, _)| index)
     }
 
-    /// [`HimorIndex::build`] that additionally retains the drawn RR graphs
-    /// and the master per-vertex buckets, so later graph mutations can
-    /// *patch* the index via [`HimorPatchState::patch`] instead of
-    /// resampling all `Θ` graphs. The index is the one
+    /// [`HimorIndex::build`] that additionally retains the drawn RR graphs,
+    /// their HFS tags and the master per-vertex buckets, so later graph
+    /// mutations can *patch* the index via [`HimorPatchState::patch`]
+    /// instead of resampling all `Θ` graphs. The index is the one
     /// [`HimorIndex::build`] returns for the same inputs.
     #[allow(clippy::too_many_arguments)] // the build signature plus the token
     pub fn build_patchable(
@@ -232,11 +242,11 @@ impl HimorIndex {
         let theta = theta_per_node.max(1) * n;
         let threads = par.thread_count();
         let seeds = SeedSequence::new(seed);
-        let (buckets, samples, sampled) = Self::sample_stage(
+        let (buckets, samples, tags, sampled) = Self::sample_stage(
             g, model, dendro, lca, theta, seeds, threads, cancel, keep_state,
         )?;
-        let kept = keep_state.then(|| buckets.clone());
-        let ranks = Self::merge_stage(dendro, buckets, threads, cancel)?;
+        let view: Vec<&FxHashMap<NodeId, u32>> = buckets.iter().collect();
+        let ranks = Self::merge_stage(dendro, &view, threads, cancel)?;
         let index = Self {
             ranks: RankTable::from_nested(ranks),
             theta,
@@ -246,11 +256,12 @@ impl HimorIndex {
                 bucket_merges: (dendro.num_vertices() - n) as u64,
             },
         };
-        let state = kept.map(|buckets| HimorPatchState {
+        let state = keep_state.then(|| HimorPatchState {
             seeds,
             theta,
             theta_per_node: theta_per_node.max(1),
             samples,
+            tags,
             buckets,
         });
         Some((index, state))
@@ -263,9 +274,13 @@ impl HimorIndex {
     /// affect the result. Returns `None` when `cancel` fired: a partially
     /// sampled bucket set must not rank anyone.
     ///
-    /// With `keep_samples` set, the drawn RR graphs are also returned, in
-    /// index order (shard ranges are contiguous and ascending), so a
-    /// [`HimorPatchState`] can later subtract and redraw individual samples.
+    /// Each draw takes its source with `random_range(0..n)` before the walk,
+    /// as [`RrSampler::sample_uniform`] does, but writes into the sampler's
+    /// scratch arena instead of allocating an owned graph. With
+    /// `keep_samples` set, the draws are appended to one [`RrArena`] with
+    /// their tag stream instead, in index order (shard ranges are contiguous
+    /// and ascending), so a [`HimorPatchState`] can later re-tag and redraw
+    /// individual samples.
     #[allow(clippy::too_many_arguments)] // internal stage: build inputs plus the token
     fn sample_stage(
         g: &Csr,
@@ -279,112 +294,94 @@ impl HimorIndex {
         keep_samples: bool,
     ) -> Option<HfsStageOutput> {
         let nv = dendro.num_vertices();
-        let n = dendro.num_leaves();
-        let max_depth = (0..n as NodeId)
-            .map(|v| dendro.depth(dendro.leaf(v)))
-            .max()
-            .unwrap_or(1) as usize;
+        let n = g.num_nodes();
         let shards = par_ranges(theta, threads, |range| {
             let mut sampler = RrSampler::new(g, model);
-            let mut queues: Vec<Vec<(u32, VertexId)>> = vec![Vec::new(); max_depth + 1];
-            let mut explored: Vec<bool> = Vec::new();
-            let mut buckets: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); nv];
-            let mut kept: Vec<RrGraph> = Vec::new();
-            if keep_samples {
-                kept.reserve(range.len());
-            }
+            let mut queues = hfs_queues(dendro);
+            let mut buckets: Buckets = vec![FxHashMap::default(); nv];
+            let mut kept = RrArena::new();
+            let mut tags: Vec<VertexId> = Vec::new();
             let mut charged = sampler.stats();
             for (off, i) in range.enumerate() {
-                if off % CHECK_EVERY == 0 {
-                    failpoint::hit(failpoint::Site::SampleBatch, cancel);
-                    if let Some(tok) = cancel {
-                        let now = sampler.stats();
-                        tok.charge_rr_edges(now.delta_since(charged).edges);
-                        charged = now;
-                        if tok.should_stop() {
-                            break;
-                        }
-                    }
+                if off % CHECK_EVERY == 0
+                    && checkpoint(Site::SampleBatch, cancel, &sampler, &mut charged)
+                {
+                    break;
                 }
                 let mut rng = seeds.rng_for(i as u64);
-                let rr = sampler.sample_uniform(&mut rng);
-                Self::hfs_record_tree(dendro, lca, &rr, &mut queues, &mut explored, &mut buckets);
-                if keep_samples {
-                    kept.push(rr);
-                }
+                let source = rng.random_range(0..n) as NodeId;
+                let rr = if keep_samples {
+                    sampler.sample_into(&mut kept, source, &mut rng, |_| true);
+                    kept.get(kept.len() - 1)
+                } else {
+                    tags.clear();
+                    sampler.sample_view(source, &mut rng, |_| true)
+                };
+                let base = tags.len();
+                Self::hfs_tags(dendro, lca, rr, &mut queues, &mut tags);
+                count_tags(&mut buckets, rr, &tags[base..]);
             }
-            (buckets, kept, sampler.stats())
+            if !keep_samples {
+                tags = Vec::new();
+            }
+            (buckets, kept, tags, sampler.stats())
         });
         let mut sampled = SampleStats::default();
-        let mut merged: Vec<FxHashMap<NodeId, u32>> = vec![FxHashMap::default(); nv];
-        let mut samples: Vec<RrGraph> = Vec::new();
-        if keep_samples {
-            samples.reserve(theta);
-        }
-        for (shard, kept, stats) in shards {
+        let mut merged: Buckets = vec![FxHashMap::default(); nv];
+        let (graphs, nodes, edges) = shards.iter().fold((0, 0, 0), |(g, n, e), (_, kept, ..)| {
+            (g + kept.len(), n + kept.num_nodes(), e + kept.num_edges())
+        });
+        let mut samples = RrArena::new();
+        samples.reserve(graphs, nodes, edges);
+        let mut tags: Vec<VertexId> = Vec::with_capacity(nodes);
+        for (shard, kept, shard_tags, stats) in shards {
             sampled = sampled.merged(stats);
             for (slot, bucket) in merged.iter_mut().zip(shard) {
                 for (v, c) in bucket {
                     *slot.entry(v).or_insert(0) += c;
                 }
             }
-            samples.extend(kept);
+            samples.extend_from(&kept);
+            tags.extend_from_slice(&shard_tags);
         }
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return None;
         }
-        Some((merged, samples, sampled))
+        Some((merged, samples, tags, sampled))
     }
 
-    /// Records one RR graph into the per-vertex buckets: every RR node goes
-    /// to the bucket of the smallest community containing a path from the
-    /// source (tagged via O(1) `lca`), drained deepest-first. Leaves
-    /// `queues` empty for reuse.
-    fn hfs_record_tree(
+    /// Appends the HFS tag of every node of `rr` to `tags`, in local order:
+    /// the smallest community containing a path from the source to the
+    /// node (tagged via O(1) `lca`), found by draining per-depth queues
+    /// deepest-first. Every RR node is reachable from its source, so every
+    /// node gets a tag. Leaves `queues` empty for reuse.
+    fn hfs_tags(
         dendro: &Dendrogram,
         lca: &LcaIndex,
-        rr: &RrGraph,
+        rr: RrRef<'_>,
         queues: &mut [Vec<(u32, VertexId)>],
-        explored: &mut Vec<bool>,
-        buckets: &mut [FxHashMap<NodeId, u32>],
+        tags: &mut Vec<VertexId>,
     ) {
-        Self::hfs_visit_tree(dendro, lca, rr, queues, explored, |tag, node| {
-            *buckets[tag as usize].entry(node).or_insert(0) += 1;
-        });
-    }
-
-    /// The HFS tree traversal of one RR graph, factored out so the
-    /// incremental patch can *subtract* a sample's contributions with the
-    /// same closure shape the build uses to add them. `visit(tag, node)`
-    /// fires exactly once per explored RR node, with `tag` the smallest
-    /// community containing a source path to it.
-    fn hfs_visit_tree(
-        dendro: &Dendrogram,
-        lca: &LcaIndex,
-        rr: &RrGraph,
-        queues: &mut [Vec<(u32, VertexId)>],
-        explored: &mut Vec<bool>,
-        mut visit: impl FnMut(VertexId, NodeId),
-    ) {
-        let s = rr.source();
-        let s_leaf = dendro.leaf(s);
+        let base = tags.len();
+        let s_leaf = dendro.leaf(rr.source());
         if s_leaf == dendro.root() {
-            return; // single-node graph: nothing to index
+            // A one-node hierarchy: nothing is ranked, the leaf tags itself.
+            tags.resize(base + rr.len(), s_leaf);
+            return;
         }
+        tags.resize(base + rr.len(), UNSEEN);
+        let tag_of = &mut tags[base..];
         let tag0 = dendro.parent(s_leaf);
         let d0 = dendro.depth(tag0) as usize;
-        explored.clear();
-        explored.resize(rr.len(), false);
         queues[d0].push((0, tag0));
         for d in (1..=d0).rev() {
             while let Some((v, tag)) = queues[d].pop() {
-                if explored[v as usize] {
+                if tag_of[v as usize] != UNSEEN {
                     continue;
                 }
-                explored[v as usize] = true;
-                visit(tag, rr.node(v));
+                tag_of[v as usize] = tag;
                 for &u in rr.out_neighbors(v) {
-                    if explored[u as usize] {
+                    if tag_of[u as usize] != UNSEEN {
                         continue;
                     }
                     // Smallest community containing a path from s to u:
@@ -394,6 +391,7 @@ impl HimorIndex {
                 }
             }
         }
+        debug_assert!(!tag_of.contains(&UNSEEN), "an RR node was not reached");
     }
 
     /// Stage 2: bottom-up bucket merge producing per-node rank vectors.
@@ -406,11 +404,13 @@ impl HimorIndex {
     /// applied in the fixed post-order, so the output is identical for
     /// every thread count.
     ///
-    /// Polls `cancel` once per depth wave; a fired token abandons the
-    /// half-merged state and returns `None`.
+    /// The buckets are borrowed (`buckets[c]` for every vertex `c`), so a
+    /// patch can merge over its rewritten buckets and the retained ones
+    /// without copying either. Polls `cancel` once per depth wave; a fired
+    /// token abandons the half-merged state and returns `None`.
     fn merge_stage(
         dendro: &Dendrogram,
-        mut buckets: Vec<FxHashMap<NodeId, u32>>,
+        buckets: &[&FxHashMap<NodeId, u32>],
         threads: usize,
         cancel: Option<&CancelToken>,
     ) -> Option<Vec<Vec<u32>>> {
@@ -436,7 +436,7 @@ impl HimorIndex {
 
         let mut wave_start = 0;
         while wave_start < order.len() {
-            failpoint::hit(failpoint::Site::MergeWave, cancel);
+            failpoint::hit(Site::MergeWave, cancel);
             if let Some(tok) = cancel {
                 if tok.should_stop() {
                     return None;
@@ -452,7 +452,7 @@ impl HimorIndex {
             let items: Vec<MergeItem> = wave
                 .iter()
                 .map(|&i| {
-                    let bucket = std::mem::take(&mut buckets[i as usize]);
+                    let bucket = buckets[i as usize];
                     let [a, b] = dendro.children(i);
                     let (Some(left), Some(right)) =
                         (lists[a as usize].take(), lists[b as usize].take())
@@ -495,7 +495,7 @@ impl HimorIndex {
     /// assignments to apply. Pure in `acc` — the caller applies updates
     /// after the whole wave is computed.
     fn merge_one(dendro: &Dendrogram, item: &MergeItem, acc: &[u32]) -> MergeOutput {
-        let bucket = &item.bucket;
+        let bucket = item.bucket;
         // New accumulated counts for nodes recorded in this bucket.
         let mut acc_updates: Vec<(NodeId, u32)> = bucket
             .iter()
@@ -632,28 +632,86 @@ impl HimorIndex {
     }
 }
 
+/// Per-depth HFS queues sized for `dendro`'s deepest leaf.
+fn hfs_queues(dendro: &Dendrogram) -> Vec<Vec<(u32, VertexId)>> {
+    let max_depth = (0..dendro.num_leaves() as NodeId)
+        .map(|v| dendro.depth(dendro.leaf(v)))
+        .max()
+        .unwrap_or(1) as usize;
+    vec![Vec::new(); max_depth + 1]
+}
+
+/// Counts one RR graph into the buckets: node `rr.node(l)` under `tags[l]`.
+fn count_tags(buckets: &mut [FxHashMap<NodeId, u32>], rr: RrRef<'_>, tags: &[VertexId]) {
+    for (&v, &tag) in rr.nodes().iter().zip(tags) {
+        *buckets[tag as usize].entry(v).or_insert(0) += 1;
+    }
+}
+
+/// A governance checkpoint: hits failpoint `site`, charges the RR edges
+/// `sampler` traversed since the last checkpoint to `cancel`, and says
+/// whether the token asks to stop.
+fn checkpoint(
+    site: Site,
+    cancel: Option<&CancelToken>,
+    sampler: &RrSampler<'_>,
+    charged: &mut SampleStats,
+) -> bool {
+    failpoint::hit(site, cancel);
+    let Some(tok) = cancel else {
+        return false;
+    };
+    let now = sampler.stats();
+    tok.charge_rr_edges(now.delta_since(*charged).edges);
+    *charged = now;
+    tok.should_stop()
+}
+
+/// Appends `old` tags re-keyed into the new tree's vertex space; `false`
+/// when one names a community the new tree lost.
+fn rekey(tags: &mut Vec<VertexId>, old: &[VertexId], old_to_new: &[Option<VertexId>]) -> bool {
+    let mut matched = true;
+    tags.extend(old.iter().map(|&t| {
+        let w = old_to_new[t as usize];
+        matched &= w.is_some();
+        w.unwrap_or(UNSEEN)
+    }));
+    matched
+}
+
 /// Effort counters of one incremental HIMOR patch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PatchStats {
-    /// RR samples subtracted and redrawn (their node sets touched the
-    /// mutation's footprint).
+    /// RR samples re-recorded under the repaired tree: every sample whose
+    /// node set touched the footprint (disturbed leaves ∪ edited nodes),
+    /// whether it was resampled or only re-tagged.
     pub samples_redrawn: u64,
+    /// The part of `samples_redrawn` drawn afresh on the new topology:
+    /// samples whose node set holds an edited node. The rest kept their
+    /// stored RR graph and only had their HFS tags recomputed.
+    pub samples_resampled: u64,
     /// Total retained samples (`Θ`): the denominator of the redraw rate.
     pub samples_total: u64,
-    /// Old-tree buckets re-keyed onto surviving communities unchanged.
+    /// Old-tree buckets carried onto surviving communities unchanged.
     pub buckets_rekeyed: u64,
 }
 
 /// Retained construction state of a [`HimorIndex::build_patchable`]
-/// build: the `Θ` drawn RR graphs plus the master per-vertex buckets, both
-/// keyed to the hierarchy the index was last built against.
+/// build, keyed to the hierarchy the index was last built against:
+///
+/// * the `Θ` drawn RR graphs, in index order, in one [`RrArena`];
+/// * a tag stream aligned with the arena's node stream: the HFS community
+///   each RR node was counted under;
+/// * the master per-vertex buckets those tags add up to.
 ///
 /// After a graph mutation repairs the dendrogram, [`HimorPatchState::patch`]
-/// produces the index a full [`HimorIndex::build`] on the new graph would produce —
-/// bit-identically, because sample `i` is a pure function of
-/// `(graph, model, seed, i)` and only samples whose node set touches the
-/// mutation footprint can change. Everything else keeps its old draw, and
-/// its bucket contributions are re-keyed through the old→new community
+/// produces the index a full [`HimorIndex::build`] on the new graph would
+/// produce — bit-identically, because sample `i` is a pure function of
+/// `(graph, model, seed, i)` and a draw can only change if it expands an
+/// edited node. Samples holding an edited node are resampled; samples
+/// that merely hold a node under a changed community keep their RR graph
+/// and are re-tagged against the repaired tree; every other sample keeps
+/// its graph and has its tags re-keyed through the old→new community
 /// matching of [`cod_hierarchy::repair::match_vertices`].
 #[derive(Clone, Debug)]
 pub struct HimorPatchState {
@@ -661,10 +719,13 @@ pub struct HimorPatchState {
     theta: usize,
     theta_per_node: usize,
     /// Sample `i` as last drawn (index-aligned with the seed sequence).
-    samples: Vec<RrGraph>,
+    samples: RrArena,
+    /// `tags[k]`: the community node `k` of the arena's node stream is
+    /// counted under (vertex id space of the current tree).
+    tags: Vec<VertexId>,
     /// Master buckets of the current tree (vertex id space of the
     /// hierarchy the last build/patch ran against).
-    buckets: Vec<FxHashMap<NodeId, u32>>,
+    buckets: Buckets,
 }
 
 impl HimorPatchState {
@@ -678,38 +739,46 @@ impl HimorPatchState {
         self.theta_per_node
     }
 
-    /// Heap bytes retained by the samples and master buckets — what keeping
-    /// the index patchable costs over a plain build.
+    /// Heap bytes retained by the sample arena, its tag stream and the
+    /// master buckets — what keeping the index patchable costs over a plain
+    /// build.
     pub fn memory_bytes(&self) -> usize {
-        let samples: usize = self.samples.iter().map(RrGraph::memory_bytes).sum();
         let buckets: usize = self
             .buckets
             .iter()
-            .map(|b| b.capacity() * (std::mem::size_of::<NodeId>() + std::mem::size_of::<u32>()))
+            .map(|b| b.capacity() * (size_of::<NodeId>() + size_of::<u32>()))
             .sum();
-        samples + buckets
+        self.samples.memory_bytes() + self.tags.capacity() * size_of::<VertexId>() + buckets
     }
 
     /// Patches the retained state across a mutation: `g` is the new
-    /// topology, `old_*` the hierarchy the state is keyed to, `new_*` the
-    /// repaired hierarchy, `diff` their structural matching, and `edited`
-    /// the nodes whose adjacency changed. Returns the index a fresh
+    /// topology, `new_*` the repaired hierarchy, `diff` the matching of
+    /// the hierarchy the state is keyed to against it, and `edited` the
+    /// nodes whose adjacency changed. Returns the index a fresh
     /// [`HimorIndex::build`] on `(g, new_dendro)` with the same seed
     /// would return, bit for bit, plus patch-effort counters.
     ///
-    /// Only RR samples whose node set intersects the footprint (disturbed
-    /// leaves ∪ edited nodes) are subtracted and redrawn; the redraw loop
-    /// polls `cancel` (and the `himor_patch` failpoint) every
-    /// `CHECK_EVERY` samples. On cancellation — or on an internal
-    /// inconsistency — the state is left **unmodified** and `None` is
-    /// returned, so the caller can retry or fall back to a full rebuild.
-    #[allow(clippy::too_many_arguments)] // two hierarchies plus the token
+    /// Each sample is handled by what the mutation did to it:
+    ///
+    /// * it holds an edited node: its old tags are subtracted from the
+    ///   buckets and it is redrawn from its per-index seed;
+    /// * it holds a disturbed node: its stored graph is re-tagged against
+    ///   the new tree, and only nodes whose tag moved touch a bucket;
+    /// * otherwise its tags are re-keyed through `diff.old_to_new`.
+    ///
+    /// The resamples are drawn first, so a fresh arena and tag stream of
+    /// exact size can then be written in index order. Both loops poll
+    /// `cancel` (and the `himor_patch` failpoint) every `CHECK_EVERY`
+    /// samples they handle. Bucket edits go to copies of the touched
+    /// buckets, and the rank merge borrows them next to the untouched ones.
+    /// On cancellation — or on an internal inconsistency — the state is left
+    /// **unmodified** and `None` is returned, so the caller can retry or
+    /// fall back to a full rebuild.
+    #[allow(clippy::too_many_arguments)] // the new hierarchy plus the token
     pub fn patch(
         &mut self,
         g: &Csr,
         model: Model,
-        old_dendro: &Dendrogram,
-        old_lca: &LcaIndex,
         new_dendro: &Dendrogram,
         new_lca: &LcaIndex,
         diff: &TreeDiff,
@@ -719,134 +788,145 @@ impl HimorPatchState {
     ) -> Option<(HimorIndex, PatchStats)> {
         let n = new_dendro.num_leaves();
         assert_eq!(g.num_nodes(), n, "patch cannot grow nodes");
-        assert_eq!(old_dendro.num_leaves(), n);
-        debug_assert_eq!(self.buckets.len(), old_dendro.num_vertices());
-
-        // Footprint: a sample must be redrawn iff its node set touches a
-        // disturbed leaf (ancestor chain changed in either tree) or an
-        // edited node (its own adjacency draws change).
-        let mut hot = vec![false; n];
-        for (v, slot) in hot.iter_mut().enumerate() {
-            *slot = diff.disturbed[v];
-        }
+        assert_eq!(diff.old_to_new.len(), self.buckets.len());
+        // What the mutation did to each node; a sample is handled by the
+        // worst of its nodes.
+        const KEPT: u8 = 0;
+        const DISTURBED: u8 = 1;
+        const EDITED: u8 = 2;
+        let mut touch: Vec<u8> = diff.disturbed.iter().map(|&d| u8::from(d)).collect();
         for &v in edited {
-            hot[v as usize] = true;
+            touch[v as usize] = EDITED;
         }
-        let affected: Vec<u32> = self
+        let worst: Vec<u8> = self
             .samples
             .iter()
-            .enumerate()
-            .filter(|(_, rr)| rr.nodes().iter().any(|&u| hot[u as usize]))
-            .map(|(i, _)| i as u32)
+            .map(|rr| rr.nodes().iter().map(|&u| touch[u as usize]).max())
+            .map(|w| w.unwrap_or(KEPT))
             .collect();
 
-        // Shared traversal scratch sized for both trees.
-        let max_depth = (0..n as NodeId)
-            .map(|v| {
-                old_dendro
-                    .depth(old_dendro.leaf(v))
-                    .max(new_dendro.depth(new_dendro.leaf(v)))
-            })
-            .max()
-            .unwrap_or(1) as usize;
-        let mut queues: Vec<Vec<(u32, VertexId)>> = vec![Vec::new(); max_depth + 1];
-        let mut explored: Vec<bool> = Vec::new();
-
-        // Subtract the affected samples' contributions under the old tree.
-        let mut tmp = self.buckets.clone();
-        let mut underflow = false;
-        for &i in &affected {
-            HimorIndex::hfs_visit_tree(
-                old_dendro,
-                old_lca,
-                &self.samples[i as usize],
-                &mut queues,
-                &mut explored,
-                |tag, node| {
-                    let bucket = &mut tmp[tag as usize];
-                    match bucket.get_mut(&node) {
-                        Some(c) if *c > 1 => *c -= 1,
-                        Some(_) => {
-                            bucket.remove(&node);
-                        }
-                        None => underflow = true,
-                    }
-                },
-            );
-        }
-        if underflow {
-            debug_assert!(false, "patch subtraction underflow: state out of sync");
-            return None;
-        }
-
-        // Re-key the surviving buckets into the new tree's vertex space.
-        // Every unmatched old community must have been emptied by the
-        // subtraction (a sample tagging it necessarily contains a node
-        // under it, which the footprint marks disturbed).
-        let mut buckets: Vec<FxHashMap<NodeId, u32>> =
-            vec![FxHashMap::default(); new_dendro.num_vertices()];
-        let mut rekeyed = 0u64;
-        for (v, bucket) in tmp.into_iter().enumerate().skip(n) {
-            if bucket.is_empty() {
-                continue;
-            }
-            match diff.old_to_new[v] {
-                Some(w) => {
-                    buckets[w as usize] = bucket;
-                    rekeyed += 1;
-                }
-                None => {
-                    debug_assert!(false, "nonempty bucket on unmatched vertex {v}");
-                    return None;
-                }
-            }
-        }
-
-        // Redraw the affected samples on the new topology with their
-        // original per-index seeds, recording against the new tree.
+        // Redraw the samples holding an edited node first, so the new
+        // streams are sized exactly before anything is copied.
         let mut sampler = RrSampler::new(g, model);
         let mut charged = sampler.stats();
-        let mut redrawn: Vec<(u32, RrGraph)> = Vec::with_capacity(affected.len());
-        for (off, &i) in affected.iter().enumerate() {
-            if off % CHECK_EVERY == 0 {
-                failpoint::hit(failpoint::Site::HimorPatch, cancel);
-                if let Some(tok) = cancel {
-                    let now = sampler.stats();
-                    tok.charge_rr_edges(now.delta_since(charged).edges);
-                    charged = now;
-                    if tok.should_stop() {
-                        return None;
+        let mut fresh = RrArena::new();
+        let (mut gone_nodes, mut gone_edges) = (0, 0);
+        for (i, _) in worst.iter().enumerate().filter(|(_, &w)| w == EDITED) {
+            if fresh.len() % CHECK_EVERY == 0
+                && checkpoint(Site::HimorPatch, cancel, &sampler, &mut charged)
+            {
+                return None;
+            }
+            let old = self.samples.get(i);
+            gone_nodes += old.len();
+            gone_edges += old.num_edges();
+            let mut rng = self.seeds.rng_for(i as u64);
+            let source = rng.random_range(0..n) as NodeId;
+            sampler.sample_into(&mut fresh, source, &mut rng, |_| true);
+        }
+        let nodes = self.samples.num_nodes() - gone_nodes + fresh.num_nodes();
+        let edges = self.samples.num_edges() - gone_edges + fresh.num_edges();
+        let mut samples = RrArena::new();
+        samples.reserve(self.theta, nodes, edges);
+        let mut tags: Vec<VertexId> = Vec::with_capacity(nodes);
+
+        // Re-record in index order. Runs still to copy: kept graphs from
+        // `kept_from` (ended by a resample), old tags from `rekey_from`
+        // (ended by any re-record).
+        let mut edits = BucketEdits::new(&self.buckets, diff, new_dendro.num_vertices());
+        let mut queues = hfs_queues(new_dendro);
+        let mut rerecorded = 0u64;
+        let (mut kept_from, mut rekey_from, mut drawn) = (0, 0, 0);
+        let mut pos = 0;
+        for (i, rr) in self.samples.iter().enumerate() {
+            let at = pos;
+            pos += rr.len();
+            if worst[i] == KEPT {
+                continue;
+            }
+            if !rekey(&mut tags, &self.tags[rekey_from..at], &diff.old_to_new) {
+                debug_assert!(false, "a kept sample is tagged with a vanished community");
+                return None;
+            }
+            rekey_from = pos;
+            if rerecorded % CHECK_EVERY as u64 == 0
+                && checkpoint(Site::HimorPatch, cancel, &sampler, &mut charged)
+            {
+                return None;
+            }
+            rerecorded += 1;
+            let old = &self.tags[at..pos];
+            let base = tags.len();
+            if worst[i] == EDITED {
+                for (&u, &t) in rr.nodes().iter().zip(old) {
+                    edits.sub(t, u);
+                }
+                samples.extend_from_range(&self.samples, kept_from..i);
+                samples.extend_from_range(&fresh, drawn..drawn + 1);
+                kept_from = i + 1;
+                let redrawn = fresh.get(drawn);
+                drawn += 1;
+                HimorIndex::hfs_tags(new_dendro, new_lca, redrawn, &mut queues, &mut tags);
+                for (&u, &t) in redrawn.nodes().iter().zip(&tags[base..]) {
+                    edits.add(t, u);
+                }
+            } else {
+                debug_assert_eq!(worst[i], DISTURBED);
+                HimorIndex::hfs_tags(new_dendro, new_lca, rr, &mut queues, &mut tags);
+                for ((&u, &was), &now) in rr.nodes().iter().zip(old).zip(&tags[base..]) {
+                    if diff.old_to_new[was as usize] != Some(now) {
+                        edits.sub(was, u);
+                        edits.add(now, u);
                     }
                 }
             }
-            let mut rng = self.seeds.rng_for(u64::from(i));
-            let rr = sampler.sample_uniform(&mut rng);
-            HimorIndex::hfs_visit_tree(
-                new_dendro,
-                new_lca,
-                &rr,
-                &mut queues,
-                &mut explored,
-                |tag, node| {
-                    *buckets[tag as usize].entry(node).or_insert(0) += 1;
-                },
-            );
-            redrawn.push((i, rr));
         }
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return None;
         }
-
-        // Rank merge over a copy, keeping the master buckets for the next
-        // patch. Commit only once the whole pipeline succeeded.
-        let ranks =
-            HimorIndex::merge_stage(new_dendro, buckets.clone(), par.thread_count(), cancel)?;
-        for (i, rr) in redrawn {
-            self.samples[i as usize] = rr;
+        samples.extend_from_range(&self.samples, kept_from..self.samples.len());
+        if !rekey(&mut tags, &self.tags[rekey_from..], &diff.old_to_new) {
+            debug_assert!(false, "a kept sample is tagged with a vanished community");
+            return None;
         }
-        self.buckets = buckets;
+        debug_assert_eq!((samples.num_nodes(), tags.len()), (nodes, nodes));
+        if !edits.consistent() {
+            debug_assert!(
+                false,
+                "patch subtraction out of sync with the retained state"
+            );
+            return None;
+        }
+
+        // Rank merge over the rewritten buckets and the retained ones.
+        // Commit only once the whole pipeline succeeded.
+        let view = edits.view();
+        let ranks = HimorIndex::merge_stage(new_dendro, &view, par.thread_count(), cancel)?;
+        let BucketEdits {
+            rewritten,
+            new_to_old,
+            ..
+        } = edits;
+        let mut old = std::mem::take(&mut self.buckets);
+        let mut rekeyed = 0u64;
+        self.buckets = rewritten
+            .into_iter()
+            .zip(new_to_old)
+            .map(|(bucket, from)| match (bucket, from) {
+                (Some(bucket), _) => bucket,
+                (None, Some(v)) => {
+                    let bucket = std::mem::take(&mut old[v as usize]);
+                    rekeyed += u64::from(!bucket.is_empty());
+                    bucket
+                }
+                (None, None) => FxHashMap::default(),
+            })
+            .collect();
+        self.samples = samples;
+        self.tags = tags;
         let stats = PatchStats {
-            samples_redrawn: affected.len() as u64,
+            samples_redrawn: rerecorded,
+            samples_resampled: fresh.len() as u64,
             samples_total: self.theta as u64,
             buckets_rekeyed: rekeyed,
         };
@@ -861,6 +941,94 @@ impl HimorPatchState {
             },
         };
         Some((index, stats))
+    }
+}
+
+/// The bucket edits of one patch, written to copies of the touched buckets
+/// so the retained state stays as it was until the patch commits.
+/// Subtractions name old-tree vertices, additions new-tree ones; a
+/// matched old vertex is edited through its new match.
+struct BucketEdits<'a> {
+    old: &'a [FxHashMap<NodeId, u32>],
+    old_to_new: &'a [Option<VertexId>],
+    /// The old vertex each new vertex matches, if any.
+    new_to_old: Vec<Option<VertexId>>,
+    /// Rewritten buckets, by new vertex.
+    rewritten: Vec<Option<FxHashMap<NodeId, u32>>>,
+    /// Rewritten buckets of old vertices without a match, by old vertex:
+    /// the subtractions must empty them.
+    vanished: Vec<Option<FxHashMap<NodeId, u32>>>,
+    /// A subtraction found no count to take.
+    underflow: bool,
+    empty: FxHashMap<NodeId, u32>,
+}
+
+impl<'a> BucketEdits<'a> {
+    fn new(old: &'a [FxHashMap<NodeId, u32>], diff: &'a TreeDiff, new_vertices: usize) -> Self {
+        let mut new_to_old = vec![None; new_vertices];
+        for (v, w) in diff.old_to_new.iter().enumerate() {
+            if let Some(w) = w {
+                new_to_old[*w as usize] = Some(v as VertexId);
+            }
+        }
+        Self {
+            old,
+            old_to_new: &diff.old_to_new,
+            new_to_old,
+            rewritten: vec![None; new_vertices],
+            vanished: vec![None; old.len()],
+            underflow: false,
+            empty: FxHashMap::default(),
+        }
+    }
+
+    /// Takes one count of `node` from old vertex `v`'s bucket.
+    fn sub(&mut self, v: VertexId, node: NodeId) {
+        let base = &self.old[v as usize];
+        let bucket = match self.old_to_new[v as usize] {
+            Some(w) => self.rewritten[w as usize].get_or_insert_with(|| base.clone()),
+            None => self.vanished[v as usize].get_or_insert_with(|| base.clone()),
+        };
+        match bucket.get_mut(&node) {
+            Some(c) if *c > 1 => *c -= 1,
+            Some(_) => {
+                bucket.remove(&node);
+            }
+            None => self.underflow = true,
+        }
+    }
+
+    /// Adds one count of `node` to new vertex `w`'s bucket.
+    fn add(&mut self, w: VertexId, node: NodeId) {
+        let (old, from) = (self.old, self.new_to_old[w as usize]);
+        let bucket = self.rewritten[w as usize].get_or_insert_with(|| {
+            from.map_or_else(FxHashMap::default, |v| old[v as usize].clone())
+        });
+        *bucket.entry(node).or_insert(0) += 1;
+    }
+
+    /// Whether every subtraction found its count and every old vertex
+    /// without a match ended empty (a sample tagging it holds a node under
+    /// it, which the footprint marks disturbed).
+    fn consistent(&self) -> bool {
+        !self.underflow
+            && self.old_to_new.iter().enumerate().all(|(v, w)| {
+                w.is_some() || self.vanished[v].as_ref().unwrap_or(&self.old[v]).is_empty()
+            })
+    }
+
+    /// The new tree's buckets: rewritten where edited, else the matched
+    /// old bucket, else empty.
+    fn view(&self) -> Vec<&FxHashMap<NodeId, u32>> {
+        self.rewritten
+            .iter()
+            .zip(&self.new_to_old)
+            .map(|(bucket, from)| match (bucket, from) {
+                (Some(bucket), _) => bucket,
+                (None, Some(v)) => &self.old[*v as usize],
+                (None, None) => &self.empty,
+            })
+            .collect()
     }
 }
 
@@ -1108,8 +1276,6 @@ mod tests {
                 .patch(
                     &g1,
                     Model::WeightedCascade,
-                    &d0,
-                    &lca0,
                     &d1,
                     &lca1,
                     &diff,
@@ -1128,6 +1294,99 @@ mod tests {
             }
             assert!(stats.samples_redrawn <= stats.samples_total);
         }
+    }
+
+    #[test]
+    fn patched_state_equals_a_fresh_patchable_build() {
+        use cod_hierarchy::{match_vertices, repair_merges, RepairOutcome};
+
+        let n = 14u32;
+        let mut rng = SmallRng::seed_from_u64(2024);
+        let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|v| (v, v + 1)).collect();
+        for _ in 0..10 {
+            let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+            if u != v {
+                edges.push((u.min(v), u.max(v)));
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let graph = |edges: &[(u32, u32)]| {
+            let mut b = GraphBuilder::new(n as usize);
+            for &(u, v) in edges {
+                b.add_edge(u, v);
+            }
+            b.build()
+        };
+        let patchable = |g: &Csr, d: &Dendrogram, lca: &LcaIndex, threads: usize| {
+            HimorIndex::build_patchable(
+                g,
+                Model::WeightedCascade,
+                d,
+                lca,
+                12,
+                31,
+                Parallelism::Threads(threads),
+                None,
+            )
+            .unwrap()
+        };
+        let g = graph(&edges);
+        let (mut d, lca) = setup(&g);
+        let (_, mut state) = patchable(&g, &d, &lca, 2);
+        let (mut recomputed, mut retagged) = (0, 0);
+        for step in 0..24 {
+            // Flip one random edge, keeping the path spine so the graph
+            // stays connected.
+            let u = rng.random_range(0..n - 2);
+            let v = rng.random_range(u + 2..n);
+            match edges.binary_search(&(u, v)) {
+                Ok(at) => {
+                    edges.remove(at);
+                }
+                Err(at) => edges.insert(at, (u, v)),
+            }
+            let g1 = graph(&edges);
+            let repair = repair_merges(&d, &g1, &[u, v], Linkage::Average, true);
+            recomputed += usize::from(repair.outcome == RepairOutcome::Recomputed);
+            let d1 = Dendrogram::from_merges(n as usize, &repair.merges);
+            let lca1 = LcaIndex::new(&d1);
+            let diff = match_vertices(&d, &d1);
+            let touching = state
+                .samples
+                .iter()
+                .filter(|rr| rr.nodes().iter().any(|&w| w == u || w == v))
+                .count() as u64;
+            let (patched, stats) = state
+                .patch(
+                    &g1,
+                    Model::WeightedCascade,
+                    &d1,
+                    &lca1,
+                    &diff,
+                    &[u, v],
+                    Parallelism::Threads(1 + step % 3),
+                    None,
+                )
+                .unwrap();
+            let (fresh, fresh_state) = patchable(&g1, &d1, &lca1, 1 + step % 2);
+            for q in 0..n {
+                assert_eq!(
+                    patched.ranks_of(q),
+                    fresh.ranks_of(q),
+                    "step {step} node {q}"
+                );
+            }
+            assert_eq!(state.samples, fresh_state.samples, "step {step}: arena");
+            assert_eq!(state.tags, fresh_state.tags, "step {step}: tags");
+            assert_eq!(state.buckets, fresh_state.buckets, "step {step}: buckets");
+            assert_eq!(stats.samples_resampled, touching, "step {step}");
+            assert!(stats.samples_resampled <= stats.samples_redrawn);
+            retagged += stats.samples_redrawn - stats.samples_resampled;
+            d = d1;
+        }
+        assert!(recomputed > 0, "no repair recomputed the tree");
+        assert!(retagged > 0, "no sample was re-tagged without a redraw");
     }
 
     #[test]

@@ -437,6 +437,7 @@ pub struct MetricsRegistry {
     mutations_remove: AtomicU64,
     mutations_set_attrs: AtomicU64,
     repairs: AtomicU64,
+    himor_samples_resampled: AtomicU64,
     full_rebuilds: AtomicU64,
     pool_scoped_evictions: AtomicU64,
     wal_appended_records: AtomicU64,
@@ -466,6 +467,7 @@ impl Default for MetricsRegistry {
             mutations_remove: AtomicU64::new(0),
             mutations_set_attrs: AtomicU64::new(0),
             repairs: AtomicU64::new(0),
+            himor_samples_resampled: AtomicU64::new(0),
             full_rebuilds: AtomicU64::new(0),
             pool_scoped_evictions: AtomicU64::new(0),
             wal_appended_records: AtomicU64::new(0),
@@ -557,6 +559,12 @@ impl MetricsRegistry {
         self.repairs.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Tallies `n` HIMOR samples a patch drew afresh because their node
+    /// sets held an edited node.
+    pub fn record_himor_samples_resampled(&self, n: u64) {
+        self.himor_samples_resampled.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Tallies one full from-scratch rebuild (the touched fraction crossed
     /// the rebuild threshold, the node count grew, or no artifacts existed
     /// to repair).
@@ -627,6 +635,7 @@ impl MetricsRegistry {
             mutations_remove: load(&self.mutations_remove),
             mutations_set_attrs: load(&self.mutations_set_attrs),
             repairs: load(&self.repairs),
+            himor_samples_resampled: load(&self.himor_samples_resampled),
             full_rebuilds: load(&self.full_rebuilds),
             pool_scoped_evictions: load(&self.pool_scoped_evictions),
             wal_appended_records: load(&self.wal_appended_records),
@@ -682,6 +691,9 @@ pub struct MetricsSnapshot {
     /// Mutation batches absorbed by localized repair (dendrogram splice +
     /// HIMOR patch) instead of a from-scratch rebuild.
     pub repairs: u64,
+    /// HIMOR samples drawn afresh by repairs (their node sets held an
+    /// edited node); the other re-recorded samples were only re-tagged.
+    pub himor_samples_resampled: u64,
     /// Mutation batches that forced a full from-scratch rebuild.
     pub full_rebuilds: u64,
     /// RR pools dropped by scoped (footprint-driven) invalidation.
@@ -728,6 +740,7 @@ impl MetricsSnapshot {
         out.mutations_remove += other.mutations_remove;
         out.mutations_set_attrs += other.mutations_set_attrs;
         out.repairs += other.repairs;
+        out.himor_samples_resampled += other.himor_samples_resampled;
         out.full_rebuilds += other.full_rebuilds;
         out.pool_scoped_evictions += other.pool_scoped_evictions;
         out.wal_appended_records += other.wal_appended_records;
@@ -785,6 +798,11 @@ impl MetricsSnapshot {
             "repairs_total",
             "mutation batches absorbed by localized repair (splice + HIMOR patch)",
             self.repairs,
+        );
+        counter(
+            "himor_samples_resampled_total",
+            "HIMOR samples redrawn by repairs because their node sets held an edited node",
+            self.himor_samples_resampled,
         );
         counter(
             "full_rebuilds_total",
@@ -1044,6 +1062,7 @@ mod tests {
         reg.record_full_rebuild();
         reg.record_full_rebuild();
         reg.record_pool_scoped_evictions(3);
+        reg.record_himor_samples_resampled(7);
         let snap = reg.snapshot();
         assert_eq!(snap.mutations_insert, 2);
         assert_eq!(snap.mutations_remove, 1);
@@ -1051,6 +1070,7 @@ mod tests {
         assert_eq!(snap.repairs, 1);
         assert_eq!(snap.full_rebuilds, 2);
         assert_eq!(snap.pool_scoped_evictions, 3);
+        assert_eq!(snap.himor_samples_resampled, 7);
         let cache = crate::cache::CacheStats::default();
         let pool = crate::pool::PoolCacheStats::default();
         let text = snap.render_prometheus(&cache, &pool);
@@ -1060,6 +1080,7 @@ mod tests {
         assert!(text.contains("cod_repairs_total 1"));
         assert!(text.contains("cod_full_rebuilds_total 2"));
         assert!(text.contains("cod_pool_scoped_evictions_total 3"));
+        assert!(text.contains("cod_himor_samples_resampled_total 7"));
         let helps = text.matches("# HELP").count();
         let types = text.matches("# TYPE").count();
         assert_eq!(helps, types);

@@ -22,8 +22,8 @@
 //! [`match_vertices`] computes the structural diff between the old and the
 //! repaired hierarchy — which old communities survive (and as which new
 //! vertex), and which leaves sit under a changed community. The HIMOR patch
-//! uses it to re-key unaffected bucket contributions and to bound the set of
-//! RR samples that must be redrawn.
+//! uses it to re-key unaffected samples' tags and to bound the set of RR
+//! samples that must be re-tagged against the repaired tree.
 
 use cod_graph::{Csr, FxHashMap, NodeId};
 

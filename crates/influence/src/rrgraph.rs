@@ -8,6 +8,8 @@
 //! * [`RrGraph`] — one owned RR graph, for callers that keep individual
 //!   samples around.
 
+use std::ops::Range;
+
 use cod_graph::NodeId;
 
 /// A borrowed view of one RR graph: an RR set together with the edges
@@ -187,6 +189,12 @@ impl RrArena {
         (0..self.len()).map(|i| self.get(i))
     }
 
+    /// Nodes across every held RR graph.
+    #[inline]
+    pub fn num_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Activated edges across every held RR graph.
     #[inline]
     pub fn num_edges(&self) -> usize {
@@ -217,16 +225,42 @@ impl RrArena {
             + self.nodes.capacity() * size_of::<NodeId>()
     }
 
+    /// Reserves exact stream capacity for `graphs` more graphs holding
+    /// `nodes` nodes and `edges` edges, so filling the arena to that size
+    /// never reallocates.
+    pub fn reserve(&mut self, graphs: usize, nodes: usize, edges: usize) {
+        self.starts.reserve_exact(graphs);
+        self.nodes.reserve_exact(nodes);
+        self.offsets.reserve_exact(nodes);
+        self.targets.reserve_exact(edges);
+    }
+
     /// Appends every RR graph of `other`, rebasing its index streams.
     pub fn extend_from(&mut self, other: &RrArena) {
+        self.extend_from_range(other, 0..other.len());
+    }
+
+    /// Appends RR graphs `graphs` of `other`, rebasing their index
+    /// streams: one bulk copy per stream, however many graphs.
+    pub fn extend_from_range(&mut self, other: &RrArena, graphs: Range<usize>) {
+        let (n0, n1) = (other.starts[graphs.start], other.starts[graphs.end]);
+        let (e0, e1) = (other.offsets[n0 as usize], other.offsets[n1 as usize]);
         let node_base = stream_pos(self.nodes.len());
         let edge_base = stream_pos(self.targets.len());
-        self.starts
-            .extend(other.starts[1..].iter().map(|&s| s + node_base));
-        self.nodes.extend_from_slice(&other.nodes);
-        self.offsets
-            .extend(other.offsets[1..].iter().map(|&o| o + edge_base));
-        self.targets.extend_from_slice(&other.targets);
+        self.starts.extend(
+            other.starts[graphs.start + 1..=graphs.end]
+                .iter()
+                .map(|&s| s - n0 + node_base),
+        );
+        self.nodes
+            .extend_from_slice(&other.nodes[n0 as usize..n1 as usize]);
+        self.offsets.extend(
+            other.offsets[n0 as usize + 1..=n1 as usize]
+                .iter()
+                .map(|&o| o - e0 + edge_base),
+        );
+        self.targets
+            .extend_from_slice(&other.targets[e0 as usize..e1 as usize]);
     }
 
     // --- The sampler's append protocol ---------------------------------
@@ -476,6 +510,15 @@ mod tests {
         }
         head.extend_from(&tail);
         assert_eq!(head, whole);
+        // Copying it back in uneven ranges rebuilds it exactly.
+        let mut copied = RrArena::new();
+        copied.reserve(whole.len(), whole.num_nodes(), whole.num_edges());
+        let bytes = copied.memory_bytes();
+        for range in [0..1, 1..1, 1..3] {
+            copied.extend_from_range(&whole, range);
+        }
+        assert_eq!(copied, whole);
+        assert_eq!(copied.memory_bytes(), bytes, "the reservation was exact");
     }
 
     #[test]

@@ -1298,7 +1298,10 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
             );
             continue;
         }
+        let resampled_before = replayer.inner().metrics_snapshot().himor_samples_resampled;
         let report = replayer.flush().map_err(|e| halt(i + 1, i + 1, e))?;
+        let resampled =
+            replayer.inner().metrics_snapshot().himor_samples_resampled - resampled_before;
         let outcome = match report.outcome {
             FlushOutcome::Noop => "no-op".to_string(),
             FlushOutcome::Refreshed => "refreshed (hierarchy + index untouched)".to_string(),
@@ -1307,7 +1310,8 @@ fn cmd_mutate(opts: &Opts) -> Result<(), String> {
                 samples_redrawn,
                 samples_total,
             } => format!(
-                "repaired ({}, {samples_redrawn}/{samples_total} samples redrawn)",
+                "repaired ({}, {samples_redrawn}/{samples_total} samples re-recorded, \
+                 {resampled} resampled)",
                 if spliced { "spliced" } else { "recomputed" }
             ),
             FlushOutcome::Rebuilt => "full rebuild".to_string(),

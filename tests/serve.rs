@@ -136,6 +136,7 @@ fn all_endpoints_answer_with_documented_statuses() {
         "cod_mutations_total{kind=\"insert\"}",
         "cod_mutations_total{kind=\"set_attrs\"}",
         "cod_repairs_total",
+        "cod_himor_samples_resampled_total",
         "cod_full_rebuilds_total",
         "cod_pool_scoped_evictions_total",
     ] {

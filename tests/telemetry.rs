@@ -351,7 +351,7 @@ fn trace_render_line_mentions_each_phase_and_counter_group() {
 /// values, asserted in the serve suite).
 #[test]
 fn mutation_counters_flow_through_the_exposition() {
-    use pcod::cod::dynamic::DynamicCod;
+    use pcod::cod::dynamic::{DynamicCod, FlushOutcome};
     let data = pcod::datasets::amazon_like_scaled(120, 8);
     let g = &data.graph;
     let cfg = CodConfig {
@@ -366,7 +366,13 @@ fn mutation_counters_flow_through_the_exposition() {
     assert!(d.insert_edge(1, 61));
     assert!(d.remove_edge(0, 60));
     d.set_attrs(5, vec![0]).unwrap();
-    let _ = d.flush().unwrap(); // one localized repair
+    let repair = d.flush().unwrap(); // one localized repair
+    let FlushOutcome::Repaired {
+        samples_redrawn, ..
+    } = repair.outcome
+    else {
+        panic!("expected a repair, got {:?}", repair.outcome);
+    };
     d.set_rebuild_threshold(0.0);
     assert!(d.insert_edge(2, 62));
     let _ = d.flush().unwrap(); // one forced full rebuild
@@ -377,8 +383,13 @@ fn mutation_counters_flow_through_the_exposition() {
     assert_eq!(snap.mutations_set_attrs, 1);
     assert_eq!(snap.repairs, 1);
     assert_eq!(snap.full_rebuilds, 1);
+    // The repair resampled the samples holding an edited node and only
+    // re-tagged the rest of what it re-recorded.
+    let resampled = snap.himor_samples_resampled;
+    assert!(resampled > 0 && resampled <= samples_redrawn, "{resampled}");
 
     let text = snap.render_prometheus(&CacheStats::default(), &d.pool_stats());
+    let resampled_line = format!("cod_himor_samples_resampled_total {resampled}");
     for needle in [
         "cod_mutations_total{kind=\"insert\"} 3",
         "cod_mutations_total{kind=\"remove\"} 1",
@@ -386,6 +397,7 @@ fn mutation_counters_flow_through_the_exposition() {
         "cod_repairs_total 1",
         "cod_full_rebuilds_total 1",
         "cod_pool_scoped_evictions_total",
+        &resampled_line,
     ] {
         assert!(
             text.contains(needle),
