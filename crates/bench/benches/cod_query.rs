@@ -6,6 +6,7 @@ use std::hint::black_box;
 
 use cod_bench::multik::{codl_minus_multi_k, codl_multi_k, codr_multi_k, codu_multi_k};
 use cod_bench::util::himor_from;
+use cod_core::lore::LoreTable;
 use cod_core::recluster::build_hierarchy;
 use cod_core::CodConfig;
 use cod_hierarchy::LcaIndex;
@@ -20,6 +21,7 @@ fn bench_queries(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(4);
     let index = himor_from(g.csr(), cfg.model, &dendro, &lca, cfg.theta, &mut rng);
     let queries = cod_datasets::gen_queries(g, 8, &mut rng);
+    let lore = LoreTable::new(g);
 
     let mut group = c.benchmark_group("cod_query_cora");
     group.sample_size(10);
@@ -51,7 +53,7 @@ fn bench_queries(c: &mut Criterion) {
         b.iter(|| {
             for &(q, a) in &queries {
                 black_box(
-                    codl_minus_multi_k(g, cfg, &dendro, &lca, q, a, cfg.k, &mut rng)
+                    codl_minus_multi_k(g, cfg, &dendro, &lca, &lore, q, a, cfg.k, &mut rng)
                         .per_k
                         .len(),
                 );
@@ -64,7 +66,7 @@ fn bench_queries(c: &mut Criterion) {
         b.iter(|| {
             for &(q, a) in &queries {
                 black_box(
-                    codl_multi_k(g, cfg, &dendro, &lca, &index, q, a, cfg.k, &mut rng)
+                    codl_multi_k(g, cfg, &dendro, &lca, &lore, &index, q, a, cfg.k, &mut rng)
                         .per_k
                         .len(),
                 );

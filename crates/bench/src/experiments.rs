@@ -2,7 +2,7 @@
 
 use cod_core::chain::Chain;
 use cod_core::independent::independent_cod;
-use cod_core::lore::select_recluster_community;
+use cod_core::lore::LoreTable;
 use cod_core::measures::{answer_quality, average_quality, AnswerQuality};
 use cod_core::recluster::{build_hierarchy, global_recluster, local_recluster};
 use cod_core::{CodConfig, ComposedChain, DendroChain, SubgraphChain};
@@ -70,10 +70,11 @@ pub fn table1(opts: &CliOpts) {
         let lca = LcaIndex::new(&dendro);
         let mut rng = SmallRng::seed_from_u64(opts.seed);
         let queries = gen_queries(g, opts.queries, &mut rng);
+        let lore = LoreTable::new(g);
         // |H_ℓ(q)|: length of LORE's composed chain.
         let mut total = 0usize;
         for &(q, a) in &queries {
-            total += match select_recluster_community(g, &dendro, &lca, q, a) {
+            total += match lore.select(g, &dendro, &lca, q, a) {
                 None => dendro.root_path(q).len(),
                 Some(choice) => {
                     let members = dendro.members_sorted(choice.vertex);
@@ -131,6 +132,7 @@ pub fn fig4(opts: &CliOpts) {
         let lca = LcaIndex::new(&dendro);
         let mut rng = SmallRng::seed_from_u64(opts.seed + 4);
         let queries = gen_queries(g, opts.queries, &mut rng);
+        let lore = LoreTable::new(g);
 
         let avg5 = |sizes: &mut Vec<f64>| -> f64 {
             let s: f64 = sizes.iter().sum();
@@ -152,7 +154,7 @@ pub fn fig4(opts: &CliOpts) {
             }
             // CODL: the 5 deepest on the composed (locally reclustered)
             // chain.
-            match select_recluster_community(g, &dendro, &lca, q, a) {
+            match lore.select(g, &dendro, &lca, q, a) {
                 None => {
                     for v in dendro.root_path(q).iter().take(5) {
                         codl_sizes.push(dendro.size(*v) as f64);
@@ -255,6 +257,7 @@ pub fn fig7(opts: &CliOpts) {
         });
         let mut rng = SmallRng::seed_from_u64(opts.seed + 7);
         let queries = gen_queries(g, opts.queries, &mut rng);
+        let lore = LoreTable::new(g);
         // One global influence estimate serves every I(q) readout.
         let global_est = InfluenceEstimate::on_graph(
             g.csr(),
@@ -286,7 +289,7 @@ pub fn fig7(opts: &CliOpts) {
             let cac = baseline_multi_k(g, cfg, cod_search::cac_query(g, q, a), q, k_max, &mut rng);
             let codu = codu_multi_k(g, cfg, &dendro, &lca, q, k_max, &mut rng);
             let codr = codr_multi_k(g, cfg, q, a, k_max, &mut rng);
-            let codl = codl_multi_k(g, cfg, &dendro, &lca, &index, q, a, k_max, &mut rng);
+            let codl = codl_multi_k(g, cfg, &dendro, &lca, &lore, &index, q, a, k_max, &mut rng);
             for (acc, mk) in accs
                 .iter_mut()
                 .zip([acq, atc, cac, codu, codr, codl].iter())
@@ -513,6 +516,7 @@ pub fn fig9(opts: &CliOpts) {
             (dendro, lca, index)
         });
         let (dendro, lca, index) = &prep;
+        let lore = LoreTable::new(g);
 
         let mut t_codr = Duration::ZERO;
         let mut t_codl_minus = Duration::ZERO;
@@ -520,9 +524,11 @@ pub fn fig9(opts: &CliOpts) {
         for &(q, a) in &queries {
             let (_, t) = timed(|| codr_multi_k(g, cfg, q, a, cfg.k, &mut rng));
             t_codr += t;
-            let (_, t) = timed(|| codl_minus_multi_k(g, cfg, dendro, lca, q, a, cfg.k, &mut rng));
+            let (_, t) =
+                timed(|| codl_minus_multi_k(g, cfg, dendro, lca, &lore, q, a, cfg.k, &mut rng));
             t_codl_minus += t;
-            let (_, t) = timed(|| codl_multi_k(g, cfg, dendro, lca, index, q, a, cfg.k, &mut rng));
+            let (_, t) =
+                timed(|| codl_multi_k(g, cfg, dendro, lca, &lore, index, q, a, cfg.k, &mut rng));
             t_codl += t;
         }
         let per = |d: Duration| d / queries.len().max(1) as u32;

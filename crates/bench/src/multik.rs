@@ -9,7 +9,7 @@
 
 use cod_core::chain::{Chain, ComposedChain, DendroChain, SubgraphChain};
 use cod_core::compressed::CodOutcome;
-use cod_core::lore::select_recluster_community;
+use cod_core::lore::LoreTable;
 use cod_core::recluster::{global_recluster, local_recluster};
 use cod_core::{CodConfig, HimorIndex};
 use cod_graph::{AttrId, AttributedGraph, NodeId};
@@ -79,19 +79,21 @@ pub fn codr_multi_k<R: Rng>(
     MultiK::from_outcome(&chain, &out, k_max)
 }
 
-/// CODL⁻ for all `k` at once (LORE chain, no index).
+/// CODL⁻ for all `k` at once (LORE chain, no index). `lore` is the
+/// [`LoreTable`] of `g` over `dendro`, shared by every query.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's query signature plus shared state
 pub fn codl_minus_multi_k<R: Rng>(
     g: &AttributedGraph,
     cfg: CodConfig,
     dendro: &Dendrogram,
     lca: &LcaIndex,
+    lore: &LoreTable,
     q: NodeId,
     attr: AttrId,
     k_max: usize,
     rng: &mut R,
 ) -> MultiK {
-    match select_recluster_community(g, dendro, lca, q, attr) {
+    match lore.select(g, dendro, lca, q, attr) {
         None => codu_multi_k(g, cfg, dendro, lca, q, k_max, rng),
         Some(choice) => {
             let members = dendro.members_sorted(choice.vertex);
@@ -113,20 +115,22 @@ pub fn codl_minus_multi_k<R: Rng>(
 }
 
 /// CODL for all `k` at once: per-k index scan plus (at most) one
-/// compressed fallback evaluation inside the reclustered `C_ℓ`.
+/// compressed fallback evaluation inside the reclustered `C_ℓ`. `lore` is
+/// the [`LoreTable`] of `g` over `dendro`, shared by every query.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's query signature plus shared state
 pub fn codl_multi_k<R: Rng>(
     g: &AttributedGraph,
     cfg: CodConfig,
     dendro: &Dendrogram,
     lca: &LcaIndex,
+    lore: &LoreTable,
     index: &HimorIndex,
     q: NodeId,
     attr: AttrId,
     k_max: usize,
     rng: &mut R,
 ) -> MultiK {
-    let choice = select_recluster_community(g, dendro, lca, q, attr);
+    let choice = lore.select(g, dendro, lca, q, attr);
     let floor = choice.map(|c| c.vertex);
     // Build the fallback (reclustered) outcome lazily, only when some k
     // misses the index.

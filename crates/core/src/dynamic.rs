@@ -39,7 +39,7 @@ use crate::engine::package;
 use crate::error::{CodError, CodResult};
 use crate::failpoint::{self, Site};
 use crate::himor::{HimorIndex, HimorPatchState};
-use crate::lore::select_recluster_community;
+use crate::lore::LoreTable;
 use crate::mutation::{Footprint, Mutation, MutationKind, MutationLog};
 use crate::pipeline::{AnswerSource, CodAnswer, CodConfig};
 use crate::pool::{PoolCache, PoolCacheStats};
@@ -120,6 +120,10 @@ struct Cache {
     dendro: Dendrogram,
     lca: LcaIndex,
     index: HimorIndex,
+    /// LORE's `Δ` rows over `graph` and `dendro`. `Δ` counts attributed
+    /// edges, so every new `graph` (attribute refresh, repair, rebuild)
+    /// comes with a fresh, empty table.
+    lore: LoreTable,
     /// Retained build state that makes `index` patchable across a
     /// dendrogram repair (`None` for an index restored from a checkpoint,
     /// whose first topology flush rebuilds).
@@ -151,6 +155,7 @@ impl Cache {
             cancel,
         )?;
         Some(Cache {
+            lore: LoreTable::new(&graph),
             graph,
             dendro,
             lca,
@@ -201,6 +206,7 @@ impl DynamicCod {
         let lca = LcaIndex::new(&dendro);
         let cache = Cache {
             graph: g.clone(),
+            lore: LoreTable::new(g),
             dendro,
             lca,
             index,
@@ -407,9 +413,11 @@ impl DynamicCod {
     }
 
     /// Rematerializes the cached graph (CSR + attribute table) from the
-    /// overlay without touching the hierarchy or index.
+    /// overlay without touching the hierarchy or index. LORE's `Δ` rows
+    /// count attributed edges, so they start over.
     fn refresh_graph(&mut self) {
         self.cache.graph = snapshot(self.topo.materialize(), &self.attrs, &self.interner);
+        self.cache.lore = LoreTable::new(&self.cache.graph);
         self.cache.csr_stale = false;
     }
 
@@ -470,8 +478,10 @@ impl DynamicCod {
         };
         self.metrics
             .record_himor_samples_resampled(stats.samples_resampled);
+        let graph = snapshot(new_csr.clone(), &self.attrs, &self.interner);
         self.cache = Cache {
-            graph: snapshot(new_csr.clone(), &self.attrs, &self.interner),
+            lore: LoreTable::new(&graph),
+            graph,
             dendro: new_dendro,
             lca: new_lca,
             index,
@@ -581,7 +591,11 @@ impl DynamicCod {
         let use_index = self.index_usable_for(q);
         let c = &self.cache;
         let g = &c.graph;
-        let choice = select_recluster_community(g, &c.dendro, &c.lca, q, attr);
+        let (row, built) = c.lore.row(g, &c.dendro, &c.lca, attr);
+        if built {
+            self.metrics.record_lore_row_built();
+        }
+        let choice = row.select(&c.dendro, q);
         if use_index {
             let floor = choice.map(|x| x.vertex);
             if let Some(v) = c.index.largest_top_k(&c.dendro, q, floor, self.cfg.k) {

@@ -46,7 +46,7 @@ use crate::compressed::{compressed_cod, CodOutcome, CodRequest, Samples};
 use crate::error::{CodError, CodResult};
 use crate::failpoint;
 use crate::himor::HimorIndex;
-use crate::lore::select_recluster_community;
+use crate::lore::{LoreTable, ReclusterChoice};
 use crate::pipeline::{
     validate_query, AnswerSource, CacheOutcome, CodAnswer, CodConfig, QueryLimits,
 };
@@ -268,6 +268,9 @@ pub struct CodEngine {
     g: Arc<AttributedGraph>,
     cfg: CodConfig,
     base: OnceLock<Arc<Hierarchy>>,
+    /// LORE's `Δ` rows over `g` and `base`, one per attribute, built on
+    /// first use (both are fixed for the engine's lifetime).
+    lore: LoreTable,
     index: OnceLock<Arc<HimorIndex>>,
     cache: ReclusterCache,
     /// Cross-query shared RR-pool cache, consulted only when
@@ -319,6 +322,7 @@ impl CodEngine {
         cache_capacity: usize,
     ) -> Self {
         Self {
+            lore: LoreTable::new(&g),
             g,
             cfg,
             base: OnceLock::new(),
@@ -484,6 +488,16 @@ impl CodEngine {
                 )))
             })
             .clone()
+    }
+
+    /// LORE's choice of `C_ℓ` for `(q, a)` on the base hierarchy, from
+    /// `a`'s `Δ` row (built by the first query that names `a`).
+    fn lore_choice(&self, base: &Hierarchy, q: NodeId, a: AttrId) -> Option<ReclusterChoice> {
+        let (row, built) = self.lore.row(&self.g, &base.dendro, &base.lca, a);
+        if built {
+            self.metrics.record_lore_row_built();
+        }
+        row.select(&base.dendro, q)
     }
 
     /// The HIMOR index if it has been built already.
@@ -1138,8 +1152,7 @@ impl CodEngine {
                     }
                     Some(index) => {
                         let base = self.base_hierarchy();
-                        let choice =
-                            select_recluster_community(&self.g, &base.dendro, &base.lca, q, a);
+                        let choice = self.lore_choice(&base, q, a);
                         let floor: Option<VertexId> = choice.map(|c| c.vertex);
                         // Algorithm 3 lines 1–2: answer from the index if
                         // an ancestor of C_ℓ qualifies. No RNG is consumed.
@@ -1222,7 +1235,7 @@ impl CodEngine {
         degraded: &mut Option<Method>,
     ) -> EvalArtifacts {
         let base = self.base_hierarchy();
-        match select_recluster_community(&self.g, &base.dendro, &base.lca, q, a) {
+        match self.lore_choice(&base, q, a) {
             // No attribute signal on the path: evaluate T directly.
             None => EvalArtifacts::Whole(base),
             Some(choice) => {

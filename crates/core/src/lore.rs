@@ -12,9 +12,18 @@
 //! children). LORE reclusters the community with the maximum score;
 //! on ties the deepest maximum wins (Algorithm 2 keeps the first strict
 //! improvement).
+//!
+//! `Δ` depends on the graph, `T` and the attribute, never on `q`, so it is
+//! kept as one sorted row of `(vertex, Δ)` pairs per attribute
+//! ([`DeltaRow`]): one pass over the edges builds it, and a selection
+//! then costs `O(|H(q)| log |row|)` — one binary search per community on
+//! the root path. [`LoreTable`] holds the rows of every attribute of one
+//! `(graph, T)` pair and builds each on first use.
+
+use std::sync::OnceLock;
 
 use cod_graph::{AttrId, AttributedGraph, NodeId};
-use cod_hierarchy::{Dendrogram, LcaIndex, VertexId};
+use cod_hierarchy::{Dendrogram, LcaIndex, VertexId, NO_VERTEX};
 
 /// The community LORE chose for reclustering.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,12 +37,167 @@ pub struct ReclusterChoice {
     pub score: f64,
 }
 
+/// `Δ(C)` of one attribute for every vertex `C` of `T`: the number of
+/// attributed edges whose lca is exactly `C`, stored as `(C, Δ(C))` pairs
+/// sorted by vertex (vertices with `Δ = 0` are left out), so a row costs
+/// 8 bytes per distinct lca.
+#[derive(Clone, Debug, Default)]
+pub struct DeltaRow {
+    entries: Vec<(VertexId, u32)>,
+}
+
+/// The row of an attribute no node carries.
+static EMPTY_ROW: DeltaRow = DeltaRow {
+    entries: Vec::new(),
+};
+
+impl DeltaRow {
+    /// One pass over the edges of `g`: one lca query per edge whose
+    /// endpoints both carry `attr`.
+    pub fn build(g: &AttributedGraph, dendro: &Dendrogram, lca: &LcaIndex, attr: AttrId) -> Self {
+        let mut lcas = Vec::new();
+        for u in 0..g.num_nodes() as NodeId {
+            if !g.has_attr(u, attr) {
+                continue;
+            }
+            for &v in g.neighbors(u) {
+                if u < v && g.has_attr(v, attr) {
+                    lcas.push(lca.lca(dendro.leaf(u), dendro.leaf(v)));
+                }
+            }
+        }
+        lcas.sort_unstable();
+        let entries = lcas
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u32))
+            .collect();
+        Self { entries }
+    }
+
+    /// `Δ(c)`.
+    fn delta(&self, c: VertexId) -> u64 {
+        match self.entries.binary_search_by_key(&c, |&(v, _)| v) {
+            Ok(i) => u64::from(self.entries[i].1),
+            Err(_) => 0,
+        }
+    }
+
+    /// Walks `q`'s root path deepest first and hands each community's
+    /// reclustering score to `visit(i, C_i, r(C_i))`: prefix sums of
+    /// `Δ(C_j)·dep(C_j)` over `j = 1..i`, divided by `|C_i|`, with
+    /// `r(C_0) = 0` (no chain descendant can divide an edge).
+    fn walk(&self, dendro: &Dendrogram, q: NodeId, mut visit: impl FnMut(usize, VertexId, f64)) {
+        let leaf = dendro.leaf(q);
+        // depth(C_i) = base - i.
+        let base = dendro.depth(leaf) - 1;
+        let mut s = 0u64;
+        let mut v = dendro.parent(leaf);
+        let mut i = 0usize;
+        while v != NO_VERTEX {
+            let score = if i == 0 {
+                0.0
+            } else {
+                s += self.delta(v) * u64::from(base - i as u32);
+                s as f64 / dendro.size(v) as f64
+            };
+            visit(i, v, score);
+            v = dendro.parent(v);
+            i += 1;
+        }
+    }
+
+    /// The reclustering score maximizer on `q`'s root path (Algorithm 2):
+    /// the first strict improvement wins, so on ties the deepest maximum
+    /// does. `None` when every score is zero.
+    pub fn select(&self, dendro: &Dendrogram, q: NodeId) -> Option<ReclusterChoice> {
+        let mut best: Option<ReclusterChoice> = None;
+        self.walk(dendro, q, |chain_index, vertex, score| {
+            let improves = match best {
+                None => score > 0.0,
+                Some(b) => score > b.score,
+            };
+            if improves {
+                best = Some(ReclusterChoice {
+                    vertex,
+                    chain_index,
+                    score,
+                });
+            }
+        });
+        best
+    }
+
+    /// The scores `r(C_i(q))` of every community on `q`'s root path
+    /// (index 0 = deepest); `None` for an empty path.
+    pub fn scores(&self, dendro: &Dendrogram, q: NodeId) -> Option<Vec<f64>> {
+        let mut scores = Vec::new();
+        self.walk(dendro, q, |_, _, score| scores.push(score));
+        (!scores.is_empty()).then_some(scores)
+    }
+}
+
+/// The [`DeltaRow`]s of every attribute of one graph over one hierarchy
+/// `T`, each built the first time a query names its attribute.
+///
+/// The table does not own the graph or the hierarchy: every call must pass
+/// the same `(g, dendro, lca)` the table was made for, and an owner that
+/// replaces any of them (a new attribute table, a repaired `T`) replaces
+/// the table too. Each slot is a [`OnceLock`], so concurrent first queries
+/// of one attribute build its row once.
+#[derive(Debug)]
+pub struct LoreTable {
+    rows: Box<[OnceLock<DeltaRow>]>,
+}
+
+impl LoreTable {
+    /// An empty table for the attributes of `g`.
+    pub fn new(g: &AttributedGraph) -> Self {
+        Self {
+            rows: (0..g.num_attrs()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// `attr`'s row, built on first use; the flag is true when this call
+    /// built it. An attribute beyond [`AttributedGraph::num_attrs`] is
+    /// carried by no node, so its row is empty.
+    pub fn row(
+        &self,
+        g: &AttributedGraph,
+        dendro: &Dendrogram,
+        lca: &LcaIndex,
+        attr: AttrId,
+    ) -> (&DeltaRow, bool) {
+        let Some(slot) = self.rows.get(attr as usize) else {
+            return (&EMPTY_ROW, false);
+        };
+        let mut built = false;
+        let row = slot.get_or_init(|| {
+            built = true;
+            DeltaRow::build(g, dendro, lca, attr)
+        });
+        (row, built)
+    }
+
+    /// LORE's choice for `(q, attr)` ([`DeltaRow::select`] on `attr`'s row).
+    pub fn select(
+        &self,
+        g: &AttributedGraph,
+        dendro: &Dendrogram,
+        lca: &LcaIndex,
+        q: NodeId,
+        attr: AttrId,
+    ) -> Option<ReclusterChoice> {
+        self.row(g, dendro, lca, attr).0.select(dendro, q)
+    }
+}
+
 /// Computes the reclustering scores of all communities on `q`'s root path
 /// and returns the maximizer (Algorithm 2, `QueryAttrRelated`).
 ///
 /// Returns `None` when no query-attributed edge is split on the path (all
 /// scores zero) — CODL then skips reclustering and answers from the
-/// non-attributed hierarchy alone.
+/// non-attributed hierarchy alone. A one-shot call builds `attr`'s whole
+/// row; callers with many queries keep a [`LoreTable`].
 pub fn select_recluster_community(
     g: &AttributedGraph,
     dendro: &Dendrogram,
@@ -41,23 +205,7 @@ pub fn select_recluster_community(
     q: NodeId,
     attr: AttrId,
 ) -> Option<ReclusterChoice> {
-    let scores = recluster_scores(g, dendro, lca, q, attr)?;
-    let path = dendro.root_path(q);
-    let mut best: Option<ReclusterChoice> = None;
-    for (i, &score) in scores.iter().enumerate() {
-        let improves = match best {
-            None => score > 0.0,
-            Some(b) => score > b.score,
-        };
-        if improves {
-            best = Some(ReclusterChoice {
-                vertex: path[i],
-                chain_index: i,
-                score,
-            });
-        }
-    }
-    best
+    DeltaRow::build(g, dendro, lca, attr).select(dendro, q)
 }
 
 /// The raw reclustering scores `r(C_i(q))` for every community on `q`'s
@@ -70,46 +218,164 @@ pub fn recluster_scores(
     q: NodeId,
     attr: AttrId,
 ) -> Option<Vec<f64>> {
-    let path = dendro.root_path(q);
-    if path.is_empty() {
-        return None;
-    }
-    let m = path.len();
-    // depth(path[i]) = base - i.
-    let base = dendro.depth(dendro.leaf(q)) - 1;
-
-    // Δ[i] = number of query-attributed edges whose lca is path[i].
-    let mut delta = vec![0u64; m];
-    for (u, v) in g.edges() {
-        if !g.edge_is_attributed(u, v, attr) {
-            continue;
-        }
-        let c = lca.lca(dendro.leaf(u), dendro.leaf(v));
-        // "if q ∈ lca(u, v)" — only communities on q's path count.
-        if !dendro.contains(c, q) {
-            continue;
-        }
-        let d = dendro.depth(c);
-        debug_assert!(d <= base, "an lca of two distinct leaves is internal");
-        let i = (base - d) as usize;
-        delta[i] += 1;
-    }
-
-    // Prefix sums of Δ(C_j)·dep(C_j) over j = 1..i, divided by |C_i|.
-    let mut scores = vec![0.0; m];
-    let mut s = 0u64;
-    for i in 1..m {
-        s += delta[i] * u64::from(base - i as u32);
-        scores[i] = s as f64 / dendro.size(path[i]) as f64;
-    }
-    Some(scores)
+    DeltaRow::build(g, dendro, lca, attr).scores(dendro, q)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recluster::build_hierarchy;
     use cod_graph::{AttrInterner, AttrTable, GraphBuilder};
-    use cod_hierarchy::Merge;
+    use cod_hierarchy::{Linkage, Merge};
+    use proptest::prelude::*;
+    use rand::prelude::*;
+
+    /// The per-query edge scan LORE's rows replaced, kept as the oracle:
+    /// `Δ` along `q`'s path from one lca query per attributed edge.
+    fn scan_scores(
+        g: &AttributedGraph,
+        dendro: &Dendrogram,
+        lca: &LcaIndex,
+        q: NodeId,
+        attr: AttrId,
+    ) -> Option<Vec<f64>> {
+        let path = dendro.root_path(q);
+        if path.is_empty() {
+            return None;
+        }
+        let m = path.len();
+        let base = dendro.depth(dendro.leaf(q)) - 1;
+        let mut delta = vec![0u64; m];
+        for (u, v) in g.edges() {
+            if !g.edge_is_attributed(u, v, attr) {
+                continue;
+            }
+            let c = lca.lca(dendro.leaf(u), dendro.leaf(v));
+            if !dendro.contains(c, q) {
+                continue;
+            }
+            delta[(base - dendro.depth(c)) as usize] += 1;
+        }
+        let mut scores = vec![0.0; m];
+        let mut s = 0u64;
+        for i in 1..m {
+            s += delta[i] * u64::from(base - i as u32);
+            scores[i] = s as f64 / dendro.size(path[i]) as f64;
+        }
+        Some(scores)
+    }
+
+    /// Algorithm 2's strict-improvement loop over the oracle's scores.
+    fn scan_select(
+        g: &AttributedGraph,
+        dendro: &Dendrogram,
+        lca: &LcaIndex,
+        q: NodeId,
+        attr: AttrId,
+    ) -> Option<ReclusterChoice> {
+        let scores = scan_scores(g, dendro, lca, q, attr)?;
+        let path = dendro.root_path(q);
+        let mut best: Option<ReclusterChoice> = None;
+        for (i, &score) in scores.iter().enumerate() {
+            let improves = match best {
+                None => score > 0.0,
+                Some(b) => score > b.score,
+            };
+            if improves {
+                best = Some(ReclusterChoice {
+                    vertex: path[i],
+                    chain_index: i,
+                    score,
+                });
+            }
+        }
+        best
+    }
+
+    /// A random attributed graph: a random forest (some nodes start a new
+    /// component) plus extra edges; each node carries a random subset of
+    /// `used` attributes (possibly none, possibly several). One more
+    /// attribute is interned that no node carries.
+    fn random_attributed(n: usize, extra: usize, used: u32, seed: u64) -> AttributedGraph {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n);
+        for v in 1..n as NodeId {
+            if rng.random_range(0..5u32) > 0 {
+                b.add_edge(rng.random_range(0..v), v);
+            }
+        }
+        for _ in 0..extra {
+            b.add_edge(
+                rng.random_range(0..n as NodeId),
+                rng.random_range(0..n as NodeId),
+            );
+        }
+        let mut interner = AttrInterner::new();
+        for a in 0..=used {
+            interner.intern(&format!("a{a}"));
+        }
+        let lists = (0..n)
+            .map(|_| {
+                (0..used)
+                    .filter(|_| rng.random_range(0..2u32) == 1)
+                    .collect()
+            })
+            .collect();
+        AttributedGraph::from_parts(b.build(), AttrTable::from_lists(lists), interner)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The table's scores and choice equal the per-query scan bit for
+        /// bit, for every query node and attribute — including the
+        /// interned attribute no node carries and an id past every
+        /// interned one.
+        #[test]
+        fn table_matches_the_scan_oracle(
+            n in 1usize..40,
+            extra in 0usize..50,
+            used in 1u32..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let g = random_attributed(n, extra, used, seed);
+            let d = build_hierarchy(g.csr(), Linkage::Average);
+            let lca = LcaIndex::new(&d);
+            let table = LoreTable::new(&g);
+            for attr in 0..used + 2 {
+                for q in 0..n as NodeId {
+                    let (row, _) = table.row(&g, &d, &lca, attr);
+                    let bits = |s: Option<Vec<f64>>| {
+                        s.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                    };
+                    let want = scan_scores(&g, &d, &lca, q, attr);
+                    prop_assert_eq!(bits(row.scores(&d, q)), bits(want.clone()));
+                    prop_assert_eq!(bits(recluster_scores(&g, &d, &lca, q, attr)), bits(want));
+                    let want = scan_select(&g, &d, &lca, q, attr);
+                    let got = table.select(&g, &d, &lca, q, attr);
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(got.map(|c| c.score.to_bits()), want.map(|c| c.score.to_bits()));
+                    prop_assert_eq!(select_recluster_community(&g, &d, &lca, q, attr), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_build_once_per_attribute() {
+        let (g, d, lca) = paper_example();
+        let table = LoreTable::new(&g);
+        assert!(
+            table.row(&g, &d, &lca, 0).1,
+            "the first query builds the row"
+        );
+        assert!(!table.row(&g, &d, &lca, 0).1, "a repeat query reuses it");
+        assert!(table.row(&g, &d, &lca, 1).1);
+        // Past every attribute: no node carries it, nothing to build.
+        let (row, built) = table.row(&g, &d, &lca, 99);
+        assert!(!built);
+        assert!(row.select(&d, 0).is_none());
+    }
 
     /// The paper's running example: Fig. 2 graph + Fig. 5 attributes.
     ///

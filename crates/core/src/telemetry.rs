@@ -438,6 +438,7 @@ pub struct MetricsRegistry {
     mutations_set_attrs: AtomicU64,
     repairs: AtomicU64,
     himor_samples_resampled: AtomicU64,
+    lore_rows_built: AtomicU64,
     full_rebuilds: AtomicU64,
     pool_scoped_evictions: AtomicU64,
     wal_appended_records: AtomicU64,
@@ -468,6 +469,7 @@ impl Default for MetricsRegistry {
             mutations_set_attrs: AtomicU64::new(0),
             repairs: AtomicU64::new(0),
             himor_samples_resampled: AtomicU64::new(0),
+            lore_rows_built: AtomicU64::new(0),
             full_rebuilds: AtomicU64::new(0),
             pool_scoped_evictions: AtomicU64::new(0),
             wal_appended_records: AtomicU64::new(0),
@@ -565,6 +567,12 @@ impl MetricsRegistry {
         self.himor_samples_resampled.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Tallies one LORE `Δ` row built (one edge scan for one attribute
+    /// over one hierarchy).
+    pub fn record_lore_row_built(&self) {
+        self.lore_rows_built.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Tallies one full from-scratch rebuild (the touched fraction crossed
     /// the rebuild threshold, the node count grew, or no artifacts existed
     /// to repair).
@@ -636,6 +644,7 @@ impl MetricsRegistry {
             mutations_set_attrs: load(&self.mutations_set_attrs),
             repairs: load(&self.repairs),
             himor_samples_resampled: load(&self.himor_samples_resampled),
+            lore_rows_built: load(&self.lore_rows_built),
             full_rebuilds: load(&self.full_rebuilds),
             pool_scoped_evictions: load(&self.pool_scoped_evictions),
             wal_appended_records: load(&self.wal_appended_records),
@@ -694,6 +703,9 @@ pub struct MetricsSnapshot {
     /// HIMOR samples drawn afresh by repairs (their node sets held an
     /// edited node); the other re-recorded samples were only re-tagged.
     pub himor_samples_resampled: u64,
+    /// LORE `Δ` rows built: one edge scan per attribute per hierarchy
+    /// (and, on a dynamic graph, per attribute-table refresh).
+    pub lore_rows_built: u64,
     /// Mutation batches that forced a full from-scratch rebuild.
     pub full_rebuilds: u64,
     /// RR pools dropped by scoped (footprint-driven) invalidation.
@@ -741,6 +753,7 @@ impl MetricsSnapshot {
         out.mutations_set_attrs += other.mutations_set_attrs;
         out.repairs += other.repairs;
         out.himor_samples_resampled += other.himor_samples_resampled;
+        out.lore_rows_built += other.lore_rows_built;
         out.full_rebuilds += other.full_rebuilds;
         out.pool_scoped_evictions += other.pool_scoped_evictions;
         out.wal_appended_records += other.wal_appended_records;
@@ -803,6 +816,11 @@ impl MetricsSnapshot {
             "himor_samples_resampled_total",
             "HIMOR samples redrawn by repairs because their node sets held an edited node",
             self.himor_samples_resampled,
+        );
+        counter(
+            "lore_rows_built_total",
+            "LORE delta rows built (one edge scan per attribute per hierarchy)",
+            self.lore_rows_built,
         );
         counter(
             "full_rebuilds_total",

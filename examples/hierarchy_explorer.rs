@@ -38,9 +38,10 @@ fn main() {
     let chain = DendroChain::new(&dendro, &lca, q).unwrap();
     println!("|H(q)| = {} hierarchical communities", chain.len());
 
-    // LORE's reclustering scores along the chain.
-    let scores = lore::recluster_scores(g, &dendro, &lca, q, attr).unwrap_or_default();
-    let choice = lore::select_recluster_community(g, &dendro, &lca, q, attr);
+    // LORE's reclustering scores along the chain, from one Δ row.
+    let row = lore::DeltaRow::build(g, &dendro, &lca, attr);
+    let scores = row.scores(&dendro, q).unwrap_or_default();
+    let choice = row.select(&dendro, q);
 
     // Influence rank of q in every community (compressed evaluation).
     let mut rng = SmallRng::seed_from_u64(seed);

@@ -32,6 +32,7 @@ use pcod::cod::shard::ShardedEngine;
 use pcod::cod::MappedArtifacts;
 use pcod::graph::io;
 use pcod::graph::measures;
+use pcod::hierarchy::Hierarchy;
 use pcod::prelude::*;
 use pcod::serve::EngineHandle;
 use rand::prelude::*;
@@ -510,24 +511,26 @@ fn requested_codx_version(opts: &Opts) -> u32 {
     opts.codx_version.unwrap_or(pcod::cod::CODX_V3)
 }
 
-/// Builds a CODL engine, loading the HIMOR index from `--index` when one is
-/// given and usable. Unusable index files (missing, corrupt, stale version,
-/// wrong graph) are fatal under `--strict-index`; otherwise they trigger a
-/// rebuild and an atomic resave (in the `--codx-version` the caller
-/// requested), with a warning on stderr.
-fn build_codl<'g, R: Rng>(
-    g: &'g AttributedGraph,
+/// The engine CODL queries run on. Without `--index` the HIMOR index is
+/// built inside the first CODL query (drawing the one seed `Codl::new`
+/// would), so a traced query reports the build under `himor`. With
+/// `--index` the saved index is loaded when usable. Unusable index files
+/// (missing, corrupt, stale version, wrong graph) are fatal under
+/// `--strict-index`; otherwise they trigger a rebuild, timed on stderr,
+/// and an atomic resave (in the `--codx-version` the caller requested).
+fn codl_engine<R: Rng>(
+    g: &AttributedGraph,
     cfg: CodConfig,
     opts: &Opts,
     rng: &mut R,
-) -> Result<Codl<'g>, String> {
+) -> Result<CodEngine, String> {
     let Some(path) = &opts.index else {
-        return Ok(Codl::new(g, cfg, rng));
+        return Ok(CodEngine::new(g.clone(), cfg));
     };
     match try_load_codl(g, cfg, path, opts.mmap) {
-        Ok(codl) => {
+        Ok(engine) => {
             eprintln!("loaded HIMOR index from {}", path.display());
-            Ok(codl)
+            Ok(engine)
         }
         Err(why) => {
             if opts.strict_index {
@@ -537,14 +540,20 @@ fn build_codl<'g, R: Rng>(
                 "warning: index {} unusable ({why}); rebuilding",
                 path.display()
             );
-            let codl = Codl::new(g, cfg, rng);
-            let (dendro, _) = codl.hierarchy();
-            match save_index_versioned(path, g, dendro, codl.index(), requested_codx_version(opts))
+            let engine = CodEngine::new(g.clone(), cfg);
+            let t0 = std::time::Instant::now();
+            let index = engine.ensure_himor(rng);
+            eprintln!(
+                "rebuilt HIMOR index in {:.0}us",
+                t0.elapsed().as_secs_f64() * 1e6
+            );
+            let base = engine.base_hierarchy();
+            match save_index_versioned(path, g, &base.dendro, &index, requested_codx_version(opts))
             {
                 Ok(()) => eprintln!("saved rebuilt index to {}", path.display()),
                 Err(e) => eprintln!("warning: could not save rebuilt index: {e}"),
             }
-            Ok(codl)
+            Ok(engine)
         }
     }
 }
@@ -552,12 +561,12 @@ fn build_codl<'g, R: Rng>(
 /// Loads a saved index and validates it against the loaded graph. With
 /// `mmap`, a CODX v3 file is memory-mapped and its sections are verified
 /// lazily; otherwise the bytes are read eagerly (either format).
-fn try_load_codl<'g>(
-    g: &'g AttributedGraph,
+fn try_load_codl(
+    g: &AttributedGraph,
     cfg: CodConfig,
     path: &Path,
     mmap: bool,
-) -> Result<Codl<'g>, String> {
+) -> Result<CodEngine, String> {
     let (dendro, index) = if mmap {
         let arts = MappedArtifacts::open(path).map_err(|e| e.to_string())?;
         let hier = arts.hierarchy().map_err(|e| e.to_string())?;
@@ -573,8 +582,12 @@ fn try_load_codl<'g>(
             g.num_nodes()
         ));
     }
-    let lca = LcaIndex::new(&dendro);
-    Ok(Codl::from_parts(g, cfg, dendro, lca, index))
+    Ok(CodEngine::from_parts(
+        Arc::new(g.clone()),
+        cfg,
+        Hierarchy::new(dendro),
+        index,
+    ))
 }
 
 /// `cod index`: build the hierarchy + HIMOR index for a graph and persist
@@ -670,8 +683,11 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
             (codl_minus.query(q, attr?, &mut rng), codl_minus.engine())
         }
         "codl" => {
-            codl = build_codl(&g, cfg, opts, &mut rng)?;
-            (codl.query(q, attr?, &mut rng), codl.engine())
+            codl = codl_engine(&g, cfg, opts, &mut rng)?;
+            (
+                codl.query(Query::new(q, attr?, Method::Codl), &mut rng),
+                &codl,
+            )
         }
         other => return Err(format!("unknown method {other:?} (codu|codr|codl-|codl)")),
     };
@@ -835,16 +851,12 @@ fn cmd_query_batch(
     }
 
     let mut rng = SmallRng::seed_from_u64(opts.seed);
-    // CODL goes through the facade so --index load/rebuild/save applies;
-    // either way one engine serves the whole batch.
-    let codl_facade;
-    let plain_engine;
-    let engine: &CodEngine = if method == Method::Codl {
-        codl_facade = build_codl(g, cfg, opts, &mut rng)?;
-        codl_facade.engine()
+    // CODL goes through `codl_engine` so --index load/rebuild/save
+    // applies; either way one engine serves the whole batch.
+    let engine = if method == Method::Codl {
+        codl_engine(g, cfg, opts, &mut rng)?
     } else {
-        plain_engine = CodEngine::new(g.clone(), cfg);
-        &plain_engine
+        CodEngine::new(g.clone(), cfg)
     };
 
     // Batch summary tallies: degraded answers are counted separately from
@@ -905,7 +917,7 @@ fn cmd_query_batch(
         stats.hit_rate() * 100.0,
         stats.len,
     );
-    write_metrics(opts, engine)?;
+    write_metrics(opts, &engine)?;
     if bad_lines > 0 {
         return Err(malformed());
     }

@@ -188,6 +188,48 @@ fn tiny_graph_files() -> (TempFile, TempFile) {
     )
 }
 
+/// A cold traced CODL query builds the HIMOR index inside the query, so the
+/// trace line charges the build to `himor` (and counts its RR graphs).
+#[test]
+fn cold_traced_codl_query_reports_the_himor_build() {
+    let (edges, attrs) = tiny_graph_files();
+    let o = run(&[
+        "query",
+        "--edges",
+        edges.path(),
+        "--attrs",
+        attrs.path(),
+        "--node",
+        "3",
+        "--theta",
+        "20",
+        "--method",
+        "codl",
+        "--trace",
+    ]);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    let out = stdout(&o);
+    let line = out
+        .lines()
+        .find(|l| l.starts_with("trace:"))
+        .unwrap_or_else(|| panic!("no trace line: {out}"));
+    let himor_us: f64 = line
+        .split("himor ")
+        .nth(1)
+        .and_then(|rest| rest.split("us").next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no himor time in {line:?}"));
+    assert!(himor_us > 0.0, "cold query paid no HIMOR build: {line}");
+    // Θ = θ·|V| = 20·30 RR graphs for the build alone.
+    let rr: u64 = line
+        .split("| rr ")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no rr count in {line:?}"));
+    assert!(rr >= 600, "{line}");
+}
+
 #[test]
 fn missing_edge_file_is_a_one_line_error() {
     let o = run(&[

@@ -448,6 +448,87 @@ fn cancelled_himor_patch_keeps_mutations_queued_and_recovers() {
     cancelled_flush_recovers(Site::HimorPatch);
 }
 
+/// Every `(node, attribute)` query of `d` answers exactly like a fresh
+/// instance built from `d`'s current graph with the same seed.
+fn assert_matches_fresh(d: &mut DynamicCod, cfg: CodConfig, seed: u64, stage: &str) {
+    let g = d.graph().clone();
+    let mut fresh = DynamicCod::new(&g, cfg, seed);
+    for q in 0..g.num_nodes() as NodeId {
+        for attr in 0..g.interner().len() as AttrId {
+            let qseed = u64::from(q) * 7 + u64::from(attr);
+            let x = d
+                .query(q, attr, &mut SmallRng::seed_from_u64(qseed))
+                .unwrap();
+            let y = fresh
+                .query(q, attr, &mut SmallRng::seed_from_u64(qseed))
+                .unwrap();
+            assert_eq!(
+                x.as_ref().map(|a| a.source),
+                y.as_ref().map(|a| a.source),
+                "{stage}: node {q} attr {attr} answer source"
+            );
+            assert_eq!(
+                comparable(x),
+                comparable(y),
+                "{stage}: node {q} attr {attr}"
+            );
+        }
+    }
+}
+
+/// LORE's `Δ` rows count attributed edges over one hierarchy, so an
+/// attribute refresh, a repair and a rebuild must each start them over:
+/// with every row built before each flush, the instance still answers like
+/// a fresh build of the mutated graph.
+#[test]
+fn lore_rows_start_over_after_refresh_repair_and_rebuild() {
+    let g = random_attributed(24, 14, 7);
+    let cfg = CodConfig {
+        theta: 8,
+        ..seeded_cfg(1)
+    };
+    let seed = 0x10AE;
+    let mut d = DynamicCod::new(&g, cfg, seed);
+    d.set_rebuild_threshold(10.0);
+    // Builds every attribute's row.
+    assert_matches_fresh(&mut d, cfg, seed, "unmutated");
+
+    // Re-key the members of two communities on node 0's path: attribute 1
+    // for the deeper, attribute 2 for the rest of the larger one.
+    let (inner, outer) = {
+        let (_, dendro, _) = d.artifacts().unwrap();
+        let path = dendro.root_path(0);
+        (
+            dendro.members_sorted(path[1]),
+            dendro.members_sorted(path[path.len() / 2]),
+        )
+    };
+    for &v in &outer {
+        let attr = if inner.contains(&v) { 1 } else { 2 };
+        d.set_attrs(v, vec![attr]).unwrap();
+    }
+    assert_eq!(d.flush().unwrap().outcome, FlushOutcome::Refreshed);
+    assert_matches_fresh(&mut d, cfg, seed, "attribute refresh");
+
+    let (u, v) = (0..24)
+        .flat_map(|u| (u + 1..24).map(move |v| (u, v)))
+        .find(|&(u, v)| !g.csr().has_edge(u, v))
+        .unwrap();
+    assert!(d.insert_edge(u, v));
+    d.set_attrs(u, vec![0, 1]).unwrap();
+    let outcome = d.flush().unwrap().outcome;
+    assert!(
+        matches!(outcome, FlushOutcome::Repaired { .. }),
+        "{outcome:?}"
+    );
+    assert_matches_fresh(&mut d, cfg, seed, "repair");
+
+    assert!(d.remove_edge(u, v));
+    d.set_attrs(v, vec![2]).unwrap();
+    d.rebuild();
+    assert_matches_fresh(&mut d, cfg, seed, "rebuild");
+}
+
 /// A random connected attributed graph: spanning tree + extra edges,
 /// three interned attributes assigned round-robin with a seeded twist.
 fn random_attributed(n: usize, extra: usize, seed: u64) -> AttributedGraph {

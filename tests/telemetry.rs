@@ -143,6 +143,71 @@ fn batch_traces_sum_to_registry_aggregates() {
     assert!(snapshot.phase_nanos.total() > 0);
 }
 
+/// LORE builds one `Δ` row per attribute per engine: the first CODL or
+/// CODL⁻ query naming an attribute scans the edges once, repeat queries
+/// (and concurrent first queries) reuse the row, and methods without LORE
+/// build none. The tally reaches the registry, the snapshot and `/metrics`.
+#[test]
+fn lore_rows_are_built_once_per_queried_attribute() {
+    let data = dataset();
+    let g = &data.graph;
+    let cfg = CodConfig {
+        k: 5,
+        theta: 4,
+        ..CodConfig::default()
+    };
+    let num_attrs = g.num_attrs() as AttrId;
+    assert!(num_attrs >= 3, "the dataset needs several attributes");
+    let engine = CodEngine::new(g.clone(), cfg);
+    let mut rng = SmallRng::seed_from_u64(11);
+    // CODU and CODR never consult LORE.
+    engine.query(Query::codu(3), &mut rng).unwrap();
+    engine
+        .query(Query::new(3, 0, Method::Codr), &mut rng)
+        .unwrap();
+    assert_eq!(engine.metrics().lore_rows_built, 0);
+
+    // Attributes 0 and 1 through both LORE methods, several nodes each.
+    let lore_queries: Vec<Query> = (0..6)
+        .flat_map(|q| {
+            [
+                Query::new(q, q % 2, Method::Codl),
+                Query::new(q + 10, q % 2, Method::CodlMinus),
+            ]
+        })
+        .collect();
+    for r in engine.query_batch(&lore_queries, &mut rng) {
+        r.unwrap();
+    }
+    assert_eq!(engine.metrics().lore_rows_built, 2);
+    for r in engine.query_batch(&lore_queries, &mut rng) {
+        r.unwrap();
+    }
+    assert_eq!(
+        engine.metrics().lore_rows_built,
+        2,
+        "repeat queries reuse the rows"
+    );
+
+    // Concurrent first queries of attribute 2 build its row once.
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let engine = &engine;
+            s.spawn(move || {
+                let mut rng = SmallRng::seed_from_u64(t);
+                engine
+                    .query(Query::new(t as NodeId, 2, Method::CodlMinus), &mut rng)
+                    .unwrap();
+            });
+        }
+    });
+    let built = engine.metrics().lore_rows_built;
+    assert_eq!(built, 3);
+    let line = format!("cod_lore_rows_built_total {built}");
+    let text = engine.metrics_text();
+    assert!(text.contains(&line), "exposition lacks {line:?}:\n{text}");
+}
+
 /// Seed-replay equivalence: with the seed fixed, enabling telemetry
 /// changes neither any answer nor the RNG draw order, at every thread
 /// count. Counters are identical too — they observe the evaluation, they
